@@ -10,7 +10,7 @@ Run with: python demos/diagnostics_tour.py
 
 import numpy as np
 
-from evodiags import DiagnosticKind, DiagnosticSpec, SawtoothParams, evaluate, sawtooth
+from evodiags import DiagnosticKind, DiagnosticSpec, SawtoothParams, apply_valleys, translate
 
 # A dimensionality-10 genotype with a clear structure: an early
 # non-increasing run, a rise at index 3, and the maximum at index 5.
@@ -22,10 +22,11 @@ header = f"{'diagnostic':36s} {'activation':>10s}  phenotype"
 print(header)
 print("-" * len(header))
 for kind in DiagnosticKind:
-    individual = evaluate(genotype, DiagnosticSpec(kind))
-    activation = "-" if individual.activation_gene is None else str(individual.activation_gene)
-    traits = np.array2string(individual.phenotype, precision=1, floatmode="fixed")
-    print(f"{kind.value:36s} {activation:>10s}  {traits}")
+    # Translation works on (N, D) blocks; one genotype is a block of one row.
+    traits, activation = translate(genotype[None], DiagnosticSpec(kind))
+    shown = "-" if activation is None else str(activation[0])
+    row = np.array2string(traits[0], precision=1, floatmode="fixed")
+    print(f"{kind.value:36s} {shown:>10s}  {row}")
 
 # The sawtooth transform behind the four valley variants: values rise
 # untouched to the first peak at 8, then ever-wider valleys descend with
@@ -33,5 +34,6 @@ for kind in DiagnosticKind:
 params = SawtoothParams()
 print("\nsawtooth peaks:", [int(p) for p in params.peaks])
 print(f"{'v':>6s} {'sawtooth(v)':>12s}")
-for v in (2.0, 8.0, 8.5, 9.0, 10.0, 14.0, 20.0, 36.0, 50.0, 53.0, 75.0, 99.0, 100.0):
-    print(f"{v:6.1f} {sawtooth(v, params):12.1f}")
+values = np.array([2.0, 8.0, 8.5, 9.0, 10.0, 14.0, 20.0, 36.0, 50.0, 53.0, 75.0, 99.0, 100.0])
+for v, out in zip(values, apply_valleys(values, params)):
+    print(f"{v:6.1f} {out:12.1f}")

@@ -32,8 +32,8 @@ genes[11, 2] = 85.0                          # lone specialist
 pop = evaluate_population(genes, DiagnosticSpec(DiagnosticKind.CONTRADICTORY_OBJECTIVES))
 
 print("member  activation  total fitness")
-for i, member in enumerate(pop.members):
-    print(f"{i:6d} {member.activation_gene:11d} {member.total_fitness:14.1f}")
+for i, (activation, fitness) in enumerate(zip(pop.activation_genes, pop.total_fitness)):
+    print(f"{i:6d} {activation:11d} {fitness:14.1f}")
 
 print("\nparent counts over 4000 picks:")
 print(f"{'scheme':20s} " + " ".join(f"{i:>4d}" for i in range(12)))

@@ -7,26 +7,28 @@ variants of each); eight parent-selection schemes run against them in
 replicated, seeded experiments with per-generation metric tracking and
 nonparametric significance testing.
 
+Every function works on whole populations, stored as (N, D) arrays; a
+single genotype is a block of one row, e.g. ``translate(g[None], spec)``.
+
 Modules:
-    core: genome representation, bounded mutation, population container.
-    diagnostics: the eight translation functions and the sawtooth transform.
+    core: genome blocks, bounded batch mutation, the frozen population.
+    diagnostics: the eight translations (``translate``,
+        ``evaluate_population``) and the sawtooth (``apply_valleys``).
     selection: truncation, tournament, fitness sharing (genotypic and
         phenotypic), lexicase, nondominated sorting, novelty search, and
-        the random control.
+        the random control, behind one ``select`` dispatcher.
     evolve: the per-replicate generational loop.
     metrics: generation records and their CSV format.
     stats: Kruskal-Wallis, Wilcoxon rank-sum, Bonferroni correction.
-    cli: experiment grid orchestration and result analysis.
+    cli: experiment grids (``run``), their analysis (``analyze``), and
+        the catalog (``describe``).
 """
 
 from .core import (
     ConfigurationError,
-    Individual,
     MutationParams,
     Population,
-    mutate,
     mutate_batch,
-    random_genotype,
     random_genotypes,
     rebound,
 )
@@ -35,36 +37,26 @@ from .diagnostics import (
     DiagnosticSpec,
     SawtoothParams,
     apply_valleys,
-    contradictory_objectives,
-    evaluate,
     evaluate_population,
-    exploitation_rate,
-    multipath_exploration,
-    ordered_exploitation,
-    sawtooth,
+    translate,
 )
 from .evolve import ReplicateConfig, ReplicateResult, run_generation, run_replicate
 from .metrics import (
     GenerationRecord,
     activation_gene_coverage,
     has_satisfactory_solution,
-    is_satisfactory,
     largest_valley_reached,
-    performance,
     read_records_csv,
     satisfactory_trait_coverage,
     snapshot,
     write_records_csv,
 )
 from .selection import (
-    FrontAssignment,
     NoveltyParams,
     SchemeKind,
     SchemeParams,
-    dominates,
     fitness_sharing_select,
     lexicase_select,
-    niche_count,
     nondominated_fronts,
     novelty_scores,
     novelty_select,
@@ -76,6 +68,6 @@ from .selection import (
     tournament_select,
     truncation_select,
 )
-from .stats import SampleGroup, bonferroni, kruskal_wallis, wilcoxon_rank_sum
+from .stats import bonferroni, kruskal_wallis, wilcoxon_rank_sum
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 from .core import ConfigurationError, MutationParams
 from .diagnostics import DiagnosticKind, DiagnosticSpec, all_diagnostic_names
@@ -145,14 +145,8 @@ def replicate_seed(base_seed: int, diagnostic: str, scheme: str, rep: int) -> in
 # Config file parsing
 # ---------------------------------------------------------------------------
 
-_LIST_KEYS = {"diagnostics", "schemes"}
-_INT_KEYS = {"replicates", "base_seed", "pop_size", "generations", "dim",
-             "stride", "tr", "ts", "novelty_k", "workers"}
-_FLOAT_KEYS = {"mutation_rate", "mutation_stddev", "init_lo", "init_hi",
-               "sigma", "alpha", "pmin"}
-_BOOL_KEYS = {"normalize_sharing", "include_archive"}
-_STR_KEYS = {"output_dir"}
-_ALL_KEYS = _LIST_KEYS | _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
+# Config file keys and their types: the ExperimentConfig field annotations.
+_CONFIG_TYPES = get_type_hints(ExperimentConfig)
 
 
 def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -180,30 +174,27 @@ def _read_config_file(path: str) -> dict:
                 f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _CONFIG_TYPES:
             raise ConfigurationError(
                 f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                f"{', '.join(sorted(_ALL_KEYS))}")
+                f"{', '.join(sorted(_CONFIG_TYPES))}")
         values[key] = _convert(key, value, f"{path}:{lineno}")
     return values
 
 
 def _convert(key: str, value: str, where: str):
+    kind = _CONFIG_TYPES[key]
     try:
-        if key in _LIST_KEYS:
+        if kind == list[str]:
             return [part.strip() for part in value.split(",") if part.strip()]
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             lowered = value.lower()
             if lowered in ("true", "yes", "1", "on"):
                 return True
             if lowered in ("false", "no", "0", "off"):
                 return False
             raise ValueError(f"not a boolean: {value!r}")
-        return value
+        return kind(value)
     except ValueError as exc:
         raise ConfigurationError(f"{where}: bad value for {key!r}: {exc}") from exc
 
@@ -275,7 +266,9 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig,
                     entries: list[dict], note: Optional[str] = None) -> None:
     manifest = {
         "config": {k: getattr(config, k) for k in vars(config)},
-        "seed_rule": "base_seed + splitmix64('<diagnostic>|<scheme>|<rep>') mod 2**64",
+        "seed_rule": ("base_seed + h mod 2**64, where h starts at 0 and absorbs "
+                      "each UTF-8 byte of '<diagnostic>|<scheme>|<rep>' as "
+                      "h = splitmix64(h ^ byte)"),
         "replicates": entries,
     }
     if note:
@@ -486,12 +479,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            overrides = {
-                key: getattr(args, key)
-                for key in ("diagnostics", "schemes", "replicates", "base_seed",
-                            "pop_size", "generations", "dim", "stride",
-                            "output_dir", "workers", "include_archive")
-            }
+            # Every run flag but --config stores to an ExperimentConfig field.
+            overrides = {key: value for key, value in vars(args).items()
+                         if key not in ("command", "config")}
             config = parse_config(args.config, overrides)
             return run_experiment(config)
         if args.command == "analyze":

@@ -2,8 +2,8 @@
 
 A genotype is a fixed-length vector of floating-point trait values in
 [0.0, 100.0]. Populations are stored as dense (N, D) arrays so that
-evaluation and variation stay vectorized; ``Individual`` is a lightweight
-per-member view used by object-level APIs and tests.
+evaluation and variation stay vectorized; every function here works on
+whole blocks, and a single genotype is a block of one row.
 
 All randomness flows through an explicit ``numpy.random.Generator`` so a
 replicate is bit-reproducible from its seed. Evaluation is pure and
@@ -53,25 +53,14 @@ class MutationParams:
                 f"mutation bounds require hi > lo, got [{self.lo}, {self.hi}]")
 
 
-@dataclass(frozen=True)
-class Individual:
-    """One evaluated solution: heritable genotype plus its expressed traits.
-
-    ``total_fitness`` is the sum of phenotype traits. ``activation_gene``
-    is set only for diagnostics that define one, else None.
-    """
-
-    genotype: np.ndarray
-    phenotype: np.ndarray
-    total_fitness: float
-    activation_gene: Optional[int] = None
-
-
 class Population:
     """Fixed-size collection of evaluated individuals, stored columnar.
 
-    Arrays are frozen (non-writeable) after construction; derive new
-    populations by copying rather than editing in place.
+    The population takes ownership of the arrays it is given and freezes
+    them (non-writeable), so the caller's arrays become read-only too. An
+    array that does not own its data, such as a view, is copied first, so
+    no writeable alias remains. Derive new populations from copies rather
+    than editing in place.
     """
 
     def __init__(
@@ -81,20 +70,17 @@ class Population:
         total_fitness: np.ndarray,
         activation_genes: Optional[np.ndarray] = None,
     ) -> None:
-        genotypes = np.array(genotypes, dtype=np.float64, copy=True)
-        phenotypes = np.array(phenotypes, dtype=np.float64, copy=True)
-        total_fitness = np.array(total_fitness, dtype=np.float64, copy=True)
+        genotypes = _owned(genotypes, np.float64)
+        phenotypes = _owned(phenotypes, np.float64)
+        total_fitness = _owned(total_fitness, np.float64)
         if genotypes.ndim != 2 or phenotypes.shape != genotypes.shape:
             raise ValueError("genotypes and phenotypes must be matching (N, D) arrays")
         if total_fitness.shape != (genotypes.shape[0],):
             raise ValueError("total_fitness must have one entry per member")
         if activation_genes is not None:
-            activation_genes = np.array(activation_genes, dtype=np.int64, copy=True)
+            activation_genes = _owned(activation_genes, np.int64)
             if activation_genes.shape != (genotypes.shape[0],):
                 raise ValueError("activation_genes must have one entry per member")
-            activation_genes.flags.writeable = False
-        for arr in (genotypes, phenotypes, total_fitness):
-            arr.flags.writeable = False
         self.genotypes = genotypes
         self.phenotypes = phenotypes
         self.total_fitness = total_fitness
@@ -111,35 +97,15 @@ class Population:
     def __len__(self) -> int:
         return self.size
 
-    def __getitem__(self, index: int) -> Individual:
-        activation = None
-        if self.activation_genes is not None:
-            activation = int(self.activation_genes[index])
-        return Individual(
-            genotype=self.genotypes[index],
-            phenotype=self.phenotypes[index],
-            total_fitness=float(self.total_fitness[index]),
-            activation_gene=activation,
-        )
 
-    @property
-    def members(self) -> list[Individual]:
-        return [self[i] for i in range(self.size)]
-
-
-def random_genotype(
-    dim: int,
-    lo: float,
-    hi: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw one genotype with genes independently uniform on [lo, hi).
-
-    Initial populations start far below the gene cap (default range is
-    [0, 1)), so early search has to climb the whole scale.
-    """
-    _check_init_range(dim, lo, hi)
-    return rng.uniform(lo, hi, size=dim)
+def _owned(values, dtype) -> np.ndarray:
+    """``values`` as a frozen array of ``dtype`` that owns its data; it is
+    copied only when it is a view or has another dtype."""
+    arr = np.asarray(values, dtype=dtype)
+    if not arr.flags.owndata:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 def random_genotypes(
@@ -149,8 +115,12 @@ def random_genotypes(
     hi: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw an (n, dim) block of genotypes; row-major, so the stream
-    matches n successive :func:`random_genotype` calls."""
+    """Draw an (n, dim) block of genotypes, genes independently uniform on
+    [lo, hi), in row-major order.
+
+    Initial populations start far below the gene cap (default range is
+    [0, 1)), so early search has to climb the whole scale.
+    """
     _check_init_range(dim, lo, hi)
     if n < 1:
         raise ConfigurationError(f"population size must be >= 1, got {n}")
@@ -168,34 +138,18 @@ def _check_init_range(dim: int, lo: float, hi: float) -> None:
             f"[{LOWER_BOUND}, {UPPER_BOUND}]")
 
 
-def rebound(value, lo: float = LOWER_BOUND, hi: float = UPPER_BOUND):
-    """Reflect an out-of-range value back across the violated bound.
+def rebound(values: np.ndarray, lo: float = LOWER_BOUND, hi: float = UPPER_BOUND) -> np.ndarray:
+    """Reflect out-of-range values back across the violated bound.
 
     A value of -0.7 becomes 0.7 and 100.7 becomes 99.3 under default
     bounds. Unit-scale steps cannot overshoot twice from inside the
     range, so a single reflection suffices; the final clip only guards
-    against pathological inputs. Accepts scalars or arrays.
+    against pathological inputs.
     """
-    v = np.asarray(value, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
     v = np.where(v < lo, lo + (lo - v), v)
     v = np.where(v > hi, hi - (v - hi), v)
-    v = np.clip(v, lo, hi)
-    if np.isscalar(value) or np.ndim(value) == 0:
-        return float(v)
-    return v
-
-
-def mutate(
-    genotype: np.ndarray,
-    params: MutationParams,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Return a mutated copy of one genotype.
-
-    Each gene independently mutates with probability
-    ``params.per_gene_rate``; unmutated genes are copied unchanged.
-    """
-    return mutate_batch(genotype[np.newaxis, :], params, rng)[0]
+    return np.clip(v, lo, hi)
 
 
 def mutate_batch(
@@ -203,11 +157,13 @@ def mutate_batch(
     params: MutationParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized :func:`mutate` over an (N, D) block of genotypes.
+    """Return a mutated copy of an (N, D) block of genotypes.
 
-    Draws the hit mask first and then one normal step per hit, in
-    row-major order, so the consumed stream is a pure function of the
-    generator state and the block shape.
+    Each gene independently mutates with probability
+    ``params.per_gene_rate``; unmutated genes are copied unchanged. Draws
+    the hit mask first and then one normal step per hit, in row-major
+    order, so the consumed stream is a pure function of the generator
+    state and the block shape.
     """
     out = np.array(genotypes, dtype=np.float64, copy=True)
     mask = rng.random(out.shape) < params.per_gene_rate

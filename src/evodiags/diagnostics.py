@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Individual, Population, UPPER_BOUND
+from .core import Population, UPPER_BOUND
 
 
 class DiagnosticKind(str, Enum):
@@ -125,10 +125,6 @@ class DiagnosticSpec:
     def has_activation(self) -> bool:
         return self.kind in _ACTIVATION_KINDS
 
-    @property
-    def base_kind(self) -> DiagnosticKind:
-        return _BASE_OF_VALLEY.get(self.kind, self.kind)
-
 
 def all_diagnostic_names() -> list[str]:
     return [kind.value for kind in DiagnosticKind]
@@ -137,57 +133,6 @@ def all_diagnostic_names() -> list[str]:
 # ---------------------------------------------------------------------------
 # Base translations
 # ---------------------------------------------------------------------------
-
-
-def exploitation_rate(genotype: np.ndarray) -> np.ndarray:
-    """Copy every gene directly into the corresponding trait."""
-    return np.array(genotype, dtype=np.float64, copy=True)
-
-
-def ordered_exploitation(genotype: np.ndarray) -> np.ndarray:
-    """Express the leading non-increasing run of genes; later traits are 0.
-
-    The first gene is always active, each following gene stays active
-    while it does not exceed its predecessor, and the first rising gene
-    ends the active region for the rest of the genome.
-    """
-    single, rows = _as_rows(genotype)
-    traits = _ordered_exploitation_rows(rows)
-    return traits[0] if single else traits
-
-
-def contradictory_objectives(genotype: np.ndarray) -> tuple[np.ndarray, int]:
-    """Express only the highest gene; ties go to the lower index.
-
-    Returns the phenotype and the activation gene index.
-    """
-    single, rows = _as_rows(genotype)
-    traits, activation = _contradictory_objectives_rows(rows)
-    if single:
-        return traits[0], int(activation[0])
-    return traits, activation
-
-
-def multipath_exploration(genotype: np.ndarray) -> tuple[np.ndarray, int]:
-    """Express the non-increasing run that starts at the highest gene.
-
-    The highest gene (ties to the lower index) is the activation gene and
-    opens the active region; the region closes just before the first gene
-    that rises above its predecessor. Returns phenotype and activation
-    index.
-    """
-    single, rows = _as_rows(genotype)
-    traits, activation = _multipath_rows(rows)
-    if single:
-        return traits[0], int(activation[0])
-    return traits, activation
-
-
-def _as_rows(genotype: np.ndarray) -> tuple[bool, np.ndarray]:
-    arr = np.asarray(genotype, dtype=np.float64)
-    if arr.ndim == 1:
-        return True, arr[np.newaxis, :]
-    return False, arr
 
 
 def _ordered_exploitation_rows(rows: np.ndarray) -> np.ndarray:
@@ -234,36 +179,23 @@ def _multipath_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def sawtooth(value, params: SawtoothParams = _DEFAULT_SAWTOOTH):
-    """Map a trait value through the peaked valley profile.
+def apply_valleys(traits: np.ndarray, params: SawtoothParams = _DEFAULT_SAWTOOTH) -> np.ndarray:
+    """Map traits through the peaked valley profile, element-wise.
 
-    Values at or below ``v_initial`` pass through unchanged; every peak is
-    a fixed point; between peaks the output descends from the last peak
-    with slope -1 and snaps back to the input value at the next peak. Past
-    the final peak the last descent simply continues to the domain bound.
-    Accepts scalars or arrays; inputs must lie in [0, upper].
+    Values at or below ``v_initial`` pass through unchanged, so zero
+    (inactive) traits stay zero; every peak is a fixed point; between
+    peaks the output descends from the last peak with slope -1 and snaps
+    back to the input value at the next peak. Past the final peak the
+    last descent simply continues to the domain bound. Traits come from
+    in-range genes, so they lie in [0, upper].
     """
-    v = np.asarray(value, dtype=np.float64)
-    if np.any(v < 0.0) or np.any(v > params.upper):
-        raise ValueError(f"sawtooth input must lie in [0, {params.upper}]")
-    out = _sawtooth_unchecked(v, params)
-    if np.isscalar(value) or np.ndim(value) == 0:
-        return float(out)
-    return out
-
-
-def _sawtooth_unchecked(v: np.ndarray, params: SawtoothParams) -> np.ndarray:
+    v = np.asarray(traits, dtype=np.float64)
     peaks = params.peaks
     # The last peak at or below v. The first peak is v_initial, so every
     # v without one lies in the identity region v <= v_initial, where the
     # wrapped index -1 picks an anchor that is never used.
     anchor = peaks[np.searchsorted(peaks, v, side="right") - 1]
     return np.where(v <= params.v_initial, v, anchor - (v - anchor))
-
-
-def apply_valleys(traits: np.ndarray, params: SawtoothParams = _DEFAULT_SAWTOOTH) -> np.ndarray:
-    """Apply the sawtooth trait-wise; zero (inactive) traits stay zero."""
-    return _sawtooth_unchecked(np.asarray(traits, dtype=np.float64), params)
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +227,13 @@ def translate(genotypes: np.ndarray, spec: DiagnosticSpec) -> tuple[np.ndarray, 
     return traits, activation
 
 
-def evaluate(genotype: np.ndarray, spec: DiagnosticSpec) -> Individual:
-    """Evaluate one genotype, caching total fitness and activation gene."""
-    traits, activation = translate(genotype[np.newaxis, :], spec)
-    return Individual(
-        genotype=np.asarray(genotype, dtype=np.float64),
-        phenotype=traits[0],
-        total_fitness=float(traits[0].sum()),
-        activation_gene=int(activation[0]) if activation is not None else None,
-    )
-
-
 def evaluate_population(genotypes: np.ndarray, spec: DiagnosticSpec) -> Population:
-    """Evaluate an (N, D) genotype block into a frozen population."""
+    """Evaluate an (N, D) genotype block into a frozen population.
+
+    The population takes ownership of ``genotypes`` and freezes it (see
+    :class:`~evodiags.core.Population`); pass a copy to keep a writeable
+    block.
+    """
     traits, activation = translate(genotypes, spec)
     return Population(
         genotypes=genotypes,

@@ -57,17 +57,6 @@ class GenerationRecord:
     archive_size: Optional[int] = None
 
 
-def performance(phenotype: np.ndarray) -> float:
-    """Average trait score: trait sum divided by dimensionality."""
-    traits = np.asarray(phenotype, dtype=np.float64)
-    return float(traits.sum() / traits.size)
-
-
-def is_satisfactory(value: float) -> bool:
-    """A trait counts as satisfactory at or above 99% of the upper bound."""
-    return value >= SATISFACTORY_THRESHOLD
-
-
 def has_satisfactory_solution(pop: Population) -> bool:
     """True if any member satisfies every trait simultaneously."""
     return bool((pop.phenotypes >= SATISFACTORY_THRESHOLD).all(axis=1).any())

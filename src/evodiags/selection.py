@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -98,14 +98,6 @@ class SchemeParams:
             raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
 
 
-@dataclass
-class FrontAssignment:
-    """Nondominated fronts plus the shared fitness derived from them."""
-
-    fronts: list[np.ndarray]
-    shared_fitness: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Fitness-ranked schemes
 # ---------------------------------------------------------------------------
@@ -166,21 +158,16 @@ def _score_tournaments(
 # ---------------------------------------------------------------------------
 
 
-def sharing_kernel(d, sigma: float, alpha: float):
-    """Sharing contribution of a neighbor at distance ``d``.
+def sharing_kernel(d: np.ndarray, sigma: float, alpha: float) -> np.ndarray:
+    """Sharing contribution of neighbors at distances ``d``, element-wise.
 
     Returns ``1 - (d / sigma) ** alpha`` for ``d < sigma`` and 0 beyond;
     ``sigma == 0`` disables sharing entirely (kernel is 0 everywhere).
-    Accepts scalars or arrays.
     """
-    d_arr = np.asarray(d, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
     if sigma == 0.0:
-        out = np.zeros_like(d_arr)
-    else:
-        out = np.where(d_arr < sigma, 1.0 - (d_arr / sigma) ** alpha, 0.0)
-    if np.isscalar(d) or np.ndim(d) == 0:
-        return float(out)
-    return out
+        return np.zeros_like(d)
+    return np.where(d < sigma, 1.0 - (d / sigma) ** alpha, 0.0)
 
 
 def pairwise_distances(points: np.ndarray, normalize: bool) -> np.ndarray:
@@ -192,33 +179,15 @@ def pairwise_distances(points: np.ndarray, normalize: bool) -> np.ndarray:
 
 
 def niche_counts(
-    points: np.ndarray,
-    sigma: float,
-    alpha: float,
-    normalize: bool = True,
-    dmat: Optional[np.ndarray] = None,
+    points: np.ndarray, sigma: float, alpha: float, normalize: bool = True
 ) -> np.ndarray:
     """Per-row sum of the sharing kernel over all rows (self included).
 
     The self term contributes 1, so counts are always >= 1; with sharing
     disabled (sigma 0) every count is exactly 1.
     """
-    if dmat is None:
-        dmat = pairwise_distances(points, normalize)
+    dmat = pairwise_distances(points, normalize)
     return np.maximum(sharing_kernel(dmat, sigma, alpha).sum(axis=1), 1.0)
-
-
-def niche_count(
-    index: int,
-    pop: Population,
-    metric: str,
-    sigma: float,
-    alpha: float,
-    normalize: bool = True,
-) -> float:
-    """Niche count of one member under genotypic or phenotypic similarity."""
-    points = _metric_points(pop, metric)
-    return float(niche_counts(points, sigma, alpha, normalize)[index])
 
 
 def _metric_points(pop: Population, metric: str) -> np.ndarray:
@@ -382,15 +351,6 @@ def lexicase_select(pop: Population, n: int, rng: np.random.Generator) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def dominates(x: np.ndarray, y: np.ndarray) -> bool:
-    """True iff x is at least as good everywhere and strictly better somewhere."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError("phenotypes must have equal length")
-    return bool(np.all(x >= y) and np.any(x > y))
-
-
 def nondominated_fronts(phenotypes: np.ndarray) -> list[np.ndarray]:
     """Partition row indices into nondominated fronts (front 0 first).
 
@@ -418,19 +378,21 @@ def nondominated_fronts(phenotypes: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(row_front == k) for k in range(n_fronts)]
 
 
+# Each front's dummy fitness, as a fraction of the previous front's
+# smallest shared fitness.
+_FRONT_DECAY = 0.99
+
+
 def nsga_front_assignment(
-    phenotypes: np.ndarray,
-    sigma: float,
-    alpha: float,
-    normalize: bool = True,
-    front_decay: float = 0.99,
-) -> FrontAssignment:
+    phenotypes: np.ndarray, sigma: float, alpha: float, normalize: bool = True
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Rank by front, then share a per-front dummy fitness within each front.
 
     Front 0 starts from a dummy fitness equal to the population size; each
-    later front starts just below the smallest shared fitness of the front
-    before it, preserving strict cross-front ordering. Sharing uses
-    phenotypic similarity restricted to same-front members.
+    later front starts at ``_FRONT_DECAY`` times the smallest shared
+    fitness of the front before it, preserving strict cross-front
+    ordering. Sharing uses phenotypic similarity restricted to same-front
+    members. Returns the fronts and the shared fitness of every row.
     """
     pheno = np.asarray(phenotypes, dtype=np.float64)
     fronts = nondominated_fronts(pheno)
@@ -441,8 +403,8 @@ def nsga_front_assignment(
         sub = dmat[np.ix_(front, front)]
         m = np.maximum(sharing_kernel(sub, sigma, alpha).sum(axis=1), 1.0)
         shared[front] = dummy / m
-        dummy = front_decay * shared[front].min()
-    return FrontAssignment(fronts=fronts, shared_fitness=shared)
+        dummy = _FRONT_DECAY * shared[front].min()
+    return fronts, shared
 
 
 def nsga_select(
@@ -454,8 +416,8 @@ def nsga_select(
     normalize: bool = True,
 ) -> np.ndarray:
     """Stochastic remainder over front-ranked, within-front-shared fitness."""
-    assignment = nsga_front_assignment(pop.phenotypes, sigma, alpha, normalize)
-    return stochastic_remainder(assignment.shared_fitness, n, rng)
+    _, shared = nsga_front_assignment(pop.phenotypes, sigma, alpha, normalize)
+    return stochastic_remainder(shared, n, rng)
 
 
 # ---------------------------------------------------------------------------

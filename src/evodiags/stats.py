@@ -5,38 +5,26 @@ schemes on a metric, followed (when significant at 0.05) by pairwise
 Wilcoxon rank-sum tests with a Bonferroni correction.
 
 Rank statistics are computed here with midranks and tie corrections;
-only the chi-square and normal survival functions come from scipy. The
-rank-sum p-value is exact (full enumeration) for small tie-free samples
-and a continuity-corrected normal approximation otherwise.
+only the chi-square survival function and the normal distribution
+function come from scipy (``scipy.special``, which imports far faster
+than ``scipy.stats``). The rank-sum p-value is exact (full
+enumeration) for small tie-free samples and a continuity-corrected
+normal approximation otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2, norm
+from scipy.special import chdtrc, ndtr
 
 SIGNIFICANCE_LEVEL: float = 0.05
 
 # Largest combined sample size enumerated exactly (tie-free data only).
 EXACT_ENUMERATION_LIMIT: int = 12
-
-
-@dataclass(frozen=True)
-class SampleGroup:
-    """A labelled sample, one value per replicate."""
-
-    label: str
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) == 0:
-            raise ValueError(f"sample group {self.label!r} is empty")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
 
 def midranks(values: np.ndarray) -> np.ndarray:
@@ -68,9 +56,11 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     ``len(groups) - 1`` degrees of freedom. Fully identical data gives
     H = 0 and p = 1.
     """
-    arrays = [np.asarray(_values_of(g), dtype=np.float64) for g in groups]
+    arrays = [np.asarray(g, dtype=np.float64) for g in groups]
     if len(arrays) < 2:
         raise ValueError("kruskal_wallis needs at least two groups")
+    if any(len(arr) == 0 for arr in arrays):
+        raise ValueError("every group must be non-empty")
     pooled = np.concatenate(arrays)
     n_total = len(pooled)
     if n_total < 3:
@@ -88,7 +78,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
         return 0.0, 1.0  # every observation identical
     h /= correction
     h = max(h, 0.0)
-    return h, float(chi2.sf(h, df=len(arrays) - 1))
+    return h, float(chdtrc(len(arrays) - 1, h))
 
 
 def wilcoxon_rank_sum(
@@ -106,8 +96,8 @@ def wilcoxon_rank_sum(
     """
     if alternative not in ("two-sided", "less", "greater"):
         raise ValueError(f"unknown alternative {alternative!r}")
-    a = np.asarray(_values_of(a), dtype=np.float64)
-    b = np.asarray(_values_of(b), dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("both samples must be non-empty")
     n_a, n_b = len(a), len(b)
@@ -149,13 +139,13 @@ def _normal_rank_sum_p(
     sd = np.sqrt(var_u)
     if alternative == "greater":
         z = (u_obs - mean_u - 0.5) / sd
-        return float(norm.sf(z))
+        return float(ndtr(-z))
     if alternative == "less":
         z = (u_obs - mean_u + 0.5) / sd
-        return float(norm.cdf(z))
+        return float(ndtr(z))
     z = (abs(u_obs - mean_u) - 0.5) / sd
     z = max(z, 0.0)
-    return float(min(1.0, 2.0 * norm.sf(z)))
+    return float(min(1.0, 2.0 * ndtr(-z)))
 
 
 def bonferroni(p_values: Sequence[float]) -> list[float]:
@@ -167,6 +157,3 @@ def bonferroni(p_values: Sequence[float]) -> list[float]:
     k = len(ps)
     return [min(1.0, p * k) for p in ps]
 
-
-def _values_of(group) -> Sequence[float]:
-    return group.values if isinstance(group, SampleGroup) else group

@@ -46,21 +46,19 @@ import pytest
 
 from evodiags import (
     DiagnosticKind,
+    DiagnosticSpec,
     NoveltyParams,
     Population,
     SchemeKind,
+    apply_valleys,
     bonferroni,
-    contradictory_objectives,
-    exploitation_rate,
     kruskal_wallis,
-    multipath_exploration,
     novelty_select,
-    ordered_exploitation,
     read_records_csv,
     run_replicate,
-    sawtooth,
     stochastic_remainder,
     tournament_select,
+    translate,
     wilcoxon_rank_sum,
     write_records_csv,
 )
@@ -314,9 +312,10 @@ def test_criterion_4_valley_crossing(valley_grid, valley_long_grid):
 
 
 def test_criterion_5_sawtooth_correctness():
-    ok = all(sawtooth(p) == p for p in SAWTOOTH_PEAKS)
+    peaks = np.array(SAWTOOTH_PEAKS)
+    ok = np.array_equal(apply_valleys(peaks), peaks)
     grid = np.linspace(0.0, 100.0, 10_001)
-    out = sawtooth(grid)
+    out = apply_valleys(grid)
     expected = np.array([oracle_sawtooth(v) for v in grid])
     ok &= np.array_equal(out, expected)
     ok &= bool(np.all(out <= grid))
@@ -334,15 +333,21 @@ def test_criterion_5_sawtooth_correctness():
 def test_criterion_6_diagnostic_oracles():
     mismatches = 0
     cases = 0
-    for combo in product([0.0, 1.0, 2.0, 3.0], repeat=5):
-        g = np.asarray(combo)
-        cases += 4
-        mismatches += list(exploitation_rate(g)) != oracle_exploitation_rate(combo)
-        mismatches += list(ordered_exploitation(g)) != oracle_ordered_exploitation(combo)
-        traits, act = contradictory_objectives(g)
-        mismatches += (list(traits), act) != oracle_contradictory_objectives(combo)
-        traits, act = multipath_exploration(g)
-        mismatches += (list(traits), act) != oracle_multipath_exploration(combo)
+    combos = list(product([0.0, 1.0, 2.0, 3.0], repeat=5))
+    oracles = {
+        DiagnosticKind.EXPLOITATION_RATE: oracle_exploitation_rate,
+        DiagnosticKind.ORDERED_EXPLOITATION: oracle_ordered_exploitation,
+        DiagnosticKind.CONTRADICTORY_OBJECTIVES: oracle_contradictory_objectives,
+        DiagnosticKind.MULTIPATH_EXPLORATION: oracle_multipath_exploration,
+    }
+    for kind, oracle in oracles.items():
+        # The whole enumeration as one block, compared row by row.
+        traits, act = translate(np.array(combos), DiagnosticSpec(kind))
+        rows = traits.tolist()
+        if act is not None:
+            rows = list(zip(rows, act.tolist()))
+        cases += len(combos)
+        mismatches += sum(row != oracle(combo) for row, combo in zip(rows, combos))
     report(6, "diagnostic-oracles", mismatches == 0,
            f"{cases} enumerated evaluations, {mismatches} mismatches")
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -42,22 +43,46 @@ def test_empty_config_file_gives_defaults(tmp_path):
 
 
 def test_config_file_values_and_comments(tmp_path):
+    # Every field, each set away from its default.
     path = tmp_path / "run.cfg"
     path.write_text(
         "diagnostics = exploitation-rate, valley-crossing\n"
         "schemes = truncation, lexicase\n"
         "replicates = 3   # small\n"
-        "generations = 100\n"
+        "base_seed = 7\n"
+        "output_dir = elsewhere\n"
         "pop_size = 16\n"
+        "generations = 100\n"
         "dim = 4\n"
+        "stride = 10\n"
+        "mutation_rate = 0.05\n"
+        "mutation_stddev = 2.5\n"
+        "init_lo = 0.5\n"
+        "init_hi = 2\n"
+        "tr = 3\n"
+        "ts = 4\n"
+        "sigma = 0.1\n"
+        "alpha = 2.0\n"
         "normalize_sharing = false\n"
+        "novelty_k = 5\n"
+        "pmin = 1.5\n"
+        "workers = 2\n"
         "include_archive = true\n")
     cfg = parse_config(str(path))
-    assert cfg.diagnostics == ["exploitation-rate", "valley-crossing"]
-    assert cfg.schemes == ["truncation", "lexicase"]
-    assert cfg.replicates == 3
-    assert cfg.normalize_sharing is False
-    assert cfg.include_archive is True
+    expected = dict(
+        diagnostics=["exploitation-rate", "valley-crossing"],
+        schemes=["truncation", "lexicase"],
+        replicates=3, base_seed=7, output_dir="elsewhere", pop_size=16,
+        generations=100, dim=4, stride=10, mutation_rate=0.05,
+        mutation_stddev=2.5, init_lo=0.5, init_hi=2.0, tr=3, ts=4, sigma=0.1,
+        alpha=2.0, normalize_sharing=False, novelty_k=5, pmin=1.5, workers=2,
+        include_archive=True)
+    assert expected.keys() == {f.name for f in fields(ExperimentConfig)}
+    default = parse_config(None)
+    for key, value in expected.items():
+        assert getattr(cfg, key) == value, key
+        assert type(getattr(cfg, key)) is type(value), key
+        assert getattr(default, key) != value, key
 
 
 def test_unknown_key_is_named_in_error(tmp_path):

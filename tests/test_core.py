@@ -4,24 +4,22 @@ import pytest
 from evodiags import (
     ConfigurationError,
     MutationParams,
-    mutate,
     mutate_batch,
-    random_genotype,
     random_genotypes,
     rebound,
 )
 
 
 def test_rebound_reflects_below_lower_bound():
-    assert rebound(-0.7, 0.0, 100.0) == pytest.approx(0.7)
+    assert rebound(np.array([-0.7]), 0.0, 100.0) == pytest.approx([0.7])
 
 
 def test_rebound_reflects_above_upper_bound():
-    assert rebound(100.7, 0.0, 100.0) == pytest.approx(99.3)
+    assert rebound(np.array([100.7]), 0.0, 100.0) == pytest.approx([99.3])
 
 
 def test_rebound_is_identity_in_range():
-    assert rebound(50.0, 0.0, 100.0) == 50.0
+    assert np.array_equal(rebound(np.array([50.0]), 0.0, 100.0), [50.0])
     values = np.linspace(0.0, 100.0, 101)
     assert np.array_equal(rebound(values), values)
 
@@ -35,7 +33,7 @@ def test_rebound_maps_one_full_span_overshoot_back_in_range():
 
 def test_random_genotype_range_and_length():
     rng = np.random.default_rng(1)
-    g = random_genotype(100, 0.0, 1.0, rng)
+    g = random_genotypes(1, 100, 0.0, 1.0, rng)[0]
     assert g.shape == (100,)
     assert g.min() >= 0.0 and g.max() < 1.0
 
@@ -43,23 +41,26 @@ def test_random_genotype_range_and_length():
 def test_random_genotype_empty_interval_rejected():
     rng = np.random.default_rng(1)
     with pytest.raises(ConfigurationError):
-        random_genotype(3, 0.0, 0.0, rng)
+        random_genotypes(1, 3, 0.0, 0.0, rng)
     with pytest.raises(ConfigurationError):
-        random_genotype(0, 0.0, 1.0, rng)
+        random_genotypes(1, 0, 0.0, 1.0, rng)
     with pytest.raises(ConfigurationError):
-        random_genotype(3, -1.0, 1.0, rng)
+        random_genotypes(1, 3, -1.0, 1.0, rng)
+    with pytest.raises(ConfigurationError):
+        random_genotypes(0, 3, 0.0, 1.0, rng)
 
 
 def test_random_genotype_deterministic_under_fixed_seed():
-    a = random_genotype(5, 0.0, 1.0, np.random.default_rng(42))
-    b = random_genotype(5, 0.0, 1.0, np.random.default_rng(42))
+    a = random_genotypes(1, 5, 0.0, 1.0, np.random.default_rng(42))
+    b = random_genotypes(1, 5, 0.0, 1.0, np.random.default_rng(42))
     assert np.array_equal(a, b)
 
 
 def test_random_genotypes_match_sequential_single_draws():
     block = random_genotypes(4, 7, 0.0, 1.0, np.random.default_rng(9))
     rng = np.random.default_rng(9)
-    singles = np.stack([random_genotype(7, 0.0, 1.0, rng) for _ in range(4)])
+    singles = np.concatenate(
+        [random_genotypes(1, 7, 0.0, 1.0, rng) for _ in range(4)])
     assert np.array_equal(block, singles)
 
 
@@ -75,14 +76,14 @@ def test_mutation_params_validation():
 def test_mutate_zero_rate_is_identity():
     rng = np.random.default_rng(3)
     g = rng.uniform(0, 100, size=50)
-    out = mutate(g, MutationParams(per_gene_rate=0.0), rng)
+    out = mutate_batch(g[None], MutationParams(per_gene_rate=0.0), rng)[0]
     assert np.array_equal(out, g)
 
 
 def test_mutate_vanishing_stddev_is_near_identity():
     rng = np.random.default_rng(4)
     g = rng.uniform(1, 99, size=50)
-    out = mutate(g, MutationParams(per_gene_rate=1.0, step_stddev=1e-12), rng)
+    out = mutate_batch(g[None], MutationParams(per_gene_rate=1.0, step_stddev=1e-12), rng)[0]
     assert np.max(np.abs(out - g)) < 1e-9
 
 
@@ -90,16 +91,16 @@ def test_mutate_mean_step_magnitude_matches_half_normal():
     # With every gene mutating once, E|delta| = sqrt(2/pi) ~= 0.7979.
     rng = np.random.default_rng(5)
     g = np.full(10_000, 50.0)
-    out = mutate(g, MutationParams(per_gene_rate=1.0, step_stddev=1.0), rng)
+    out = mutate_batch(g[None], MutationParams(per_gene_rate=1.0, step_stddev=1.0), rng)[0]
     mean_abs = np.mean(np.abs(out - g))
     assert mean_abs == pytest.approx(np.sqrt(2.0 / np.pi), rel=0.05)
 
 
 def test_mutate_does_not_touch_input():
     rng = np.random.default_rng(6)
-    g = rng.uniform(0, 100, size=20)
+    g = rng.uniform(0, 100, size=(3, 20))
     before = g.copy()
-    mutate(g, MutationParams(per_gene_rate=1.0), rng)
+    mutate_batch(g, MutationParams(per_gene_rate=1.0), rng)
     assert np.array_equal(g, before)
 
 

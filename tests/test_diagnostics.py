@@ -6,15 +6,11 @@ import pytest
 from evodiags import (
     DiagnosticKind,
     DiagnosticSpec,
+    Population,
     SawtoothParams,
     apply_valleys,
-    contradictory_objectives,
-    evaluate,
     evaluate_population,
-    exploitation_rate,
-    multipath_exploration,
-    ordered_exploitation,
-    sawtooth,
+    translate,
 )
 
 from oracles import (
@@ -28,6 +24,22 @@ from oracles import (
 
 FIG_ORDERED = np.array([96.9, 90.1, 63.7, 54.5, 48.1, 44.3, 35.3, 37.7, 50.0, 60.0])
 FIG_MULTIPATH = np.array([1.0, 2.0, 99.2, 87.6, 57.0, 50.1, 31.5, 39.4, 10.0, 5.0])
+EXPLOIT = DiagnosticKind.EXPLOITATION_RATE
+ORDERED = DiagnosticKind.ORDERED_EXPLOITATION
+CONTRA = DiagnosticKind.CONTRADICTORY_OBJECTIVES
+MULTI = DiagnosticKind.MULTIPATH_EXPLORATION
+
+
+def translate_one(genotype, kind):
+    """Translate one genotype as a one-row block: (traits, activation)."""
+    traits, activation = translate(np.asarray(genotype, dtype=np.float64)[None],
+                                   DiagnosticSpec(kind))
+    return traits[0], None if activation is None else int(activation[0])
+
+
+def evaluate_one(genotype, kind):
+    return evaluate_population(np.asarray(genotype, dtype=np.float64)[None],
+                               DiagnosticSpec(kind))
 
 
 # ---------------------------------------------------------------------------
@@ -37,82 +49,91 @@ FIG_MULTIPATH = np.array([1.0, 2.0, 99.2, 87.6, 57.0, 50.1, 31.5, 39.4, 10.0, 5.
 
 def test_exploitation_rate_copies_genotype():
     g = np.array([96.9, 90.1, 63.7, 0.0, 42.0])
-    assert np.array_equal(exploitation_rate(g), g)
+    assert np.array_equal(translate_one(g, EXPLOIT)[0], g)
 
 
 def test_exploitation_rate_idempotent():
     g = np.random.default_rng(0).uniform(0, 100, size=20)
-    once = exploitation_rate(g)
-    assert np.array_equal(exploitation_rate(once), once)
+    once = translate_one(g, EXPLOIT)[0]
+    assert np.array_equal(translate_one(once, EXPLOIT)[0], once)
 
 
 def test_ordered_exploitation_stops_at_first_rise():
     expected = np.array([96.9, 90.1, 63.7, 54.5, 48.1, 44.3, 35.3, 0, 0, 0])
-    assert np.array_equal(ordered_exploitation(FIG_ORDERED), expected)
+    assert np.array_equal(translate_one(FIG_ORDERED, ORDERED)[0], expected)
 
 
 def test_ordered_exploitation_increasing_genotype_keeps_only_first():
     g = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(ordered_exploitation(g), [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(translate_one(g, ORDERED)[0], [1.0, 0.0, 0.0, 0.0])
 
 
 def test_ordered_exploitation_nonincreasing_genotype_fully_active():
     g = np.array([9.0, 9.0, 5.0, 1.0])
-    assert np.array_equal(ordered_exploitation(g), g)
+    assert np.array_equal(translate_one(g, ORDERED)[0], g)
 
 
 def test_contradictory_objectives_expresses_only_the_max():
     g = np.array([10.0, 20.0, 97.1, 5.0])
-    traits, activation = contradictory_objectives(g)
+    traits, activation = translate_one(g, CONTRA)
     assert activation == 2
     assert np.array_equal(traits, [0.0, 0.0, 97.1, 0.0])
 
 
 def test_contradictory_objectives_tie_goes_to_lower_index():
-    traits, activation = contradictory_objectives(np.array([5.0, 5.0, 0.0]))
+    traits, activation = translate_one(np.array([5.0, 5.0, 0.0]), CONTRA)
     assert activation == 0
     assert np.array_equal(traits, [5.0, 0.0, 0.0])
 
 
 def test_contradictory_objectives_all_zero():
-    traits, activation = contradictory_objectives(np.zeros(4))
+    traits, activation = translate_one(np.zeros(4), CONTRA)
     assert activation == 0
     assert np.array_equal(traits, np.zeros(4))
 
 
 def test_multipath_active_region_from_the_max():
-    traits, activation = multipath_exploration(FIG_MULTIPATH)
+    traits, activation = translate_one(FIG_MULTIPATH, MULTI)
     assert activation == 2
     expected = np.array([0, 0, 99.2, 87.6, 57.0, 50.1, 31.5, 0, 0, 0])
     assert np.array_equal(traits, expected)
 
 
 def test_multipath_max_at_end():
-    traits, activation = multipath_exploration(np.array([1.0, 2.0, 3.0]))
+    traits, activation = translate_one(np.array([1.0, 2.0, 3.0]), MULTI)
     assert activation == 2
     assert np.array_equal(traits, [0.0, 0.0, 3.0])
 
 
 def test_multipath_equals_ordered_on_nonincreasing_input():
     g = np.array([9.0, 7.0, 7.0, 1.0])
-    traits, activation = multipath_exploration(g)
+    traits, activation = translate_one(g, MULTI)
     assert activation == 0
-    assert np.array_equal(traits, ordered_exploitation(g))
+    assert np.array_equal(traits, translate_one(g, ORDERED)[0])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_base_translations_match_brute_force_on_enumerated_genotypes(dim):
-    values = [0.0, 1.0, 2.0, 3.0]
-    for combo in product(values, repeat=dim):
-        g = np.array(combo)
-        assert list(exploitation_rate(g)) == oracle_exploitation_rate(combo)
-        assert list(ordered_exploitation(g)) == oracle_ordered_exploitation(combo)
-        traits, act = contradictory_objectives(g)
-        o_traits, o_act = oracle_contradictory_objectives(combo)
-        assert (list(traits), act) == (o_traits, o_act)
-        traits, act = multipath_exploration(g)
-        o_traits, o_act = oracle_multipath_exploration(combo)
-        assert (list(traits), act) == (o_traits, o_act)
+    # Every genotype over the values, translated as one block and compared
+    # with the oracle row by row.
+    combos = list(product([0.0, 1.0, 2.0, 3.0], repeat=dim))
+    block = np.array(combos)
+    plain = {
+        DiagnosticKind.EXPLOITATION_RATE: oracle_exploitation_rate,
+        DiagnosticKind.ORDERED_EXPLOITATION: oracle_ordered_exploitation,
+    }
+    for kind, oracle in plain.items():
+        traits, activation = translate(block, DiagnosticSpec(kind))
+        assert activation is None
+        assert traits.tolist() == [oracle(combo) for combo in combos]
+    with_activation = {
+        DiagnosticKind.CONTRADICTORY_OBJECTIVES: oracle_contradictory_objectives,
+        DiagnosticKind.MULTIPATH_EXPLORATION: oracle_multipath_exploration,
+    }
+    for kind, oracle in with_activation.items():
+        traits, activation = translate(block, DiagnosticSpec(kind))
+        got = list(zip(traits.tolist(), activation.tolist()))
+        assert got == [oracle(combo) for combo in combos]
 
 
 def test_traits_equal_gene_or_zero_for_base_diagnostics():
@@ -152,44 +173,35 @@ def test_sawtooth_default_peaks_match_closed_form():
 
 
 def test_sawtooth_peaks_are_fixed_points():
-    for peak in SAWTOOTH_PEAKS:
-        assert sawtooth(peak) == peak
+    peaks = np.array(SAWTOOTH_PEAKS)
+    assert np.array_equal(apply_valleys(peaks), peaks)
 
 
 def test_sawtooth_identity_below_initial_peak():
-    assert sawtooth(5.0) == 5.0
-    assert sawtooth(0.0) == 0.0
-    assert sawtooth(8.0) == 8.0
+    values = np.array([5.0, 0.0, 8.0])
+    assert np.array_equal(apply_valleys(values), values)
 
 
 def test_sawtooth_descent_examples():
-    assert sawtooth(8.5) == pytest.approx(7.5)
-    assert sawtooth(10.0) == pytest.approx(8.0)
-    assert sawtooth(20.0) == pytest.approx(16.0)
+    out = apply_valleys(np.array([8.5, 10.0, 20.0]))
+    assert out == pytest.approx([7.5, 8.0, 16.0])
 
 
 def test_sawtooth_continues_descending_past_last_peak():
-    assert sawtooth(99.5) == pytest.approx(98.5)
-    assert sawtooth(100.0) == pytest.approx(98.0)
-
-
-def test_sawtooth_rejects_out_of_range_input():
-    with pytest.raises(ValueError):
-        sawtooth(-0.5)
-    with pytest.raises(ValueError):
-        sawtooth(100.5)
+    out = apply_valleys(np.array([99.5, 100.0]))
+    assert out == pytest.approx([98.5, 98.0])
 
 
 def test_sawtooth_grid_matches_oracle_bit_exactly():
     grid = np.linspace(0.0, 100.0, 10_001)
-    out = sawtooth(grid)
+    out = apply_valleys(grid)
     expected = np.array([oracle_sawtooth(v) for v in grid])
     assert np.array_equal(out, expected)
 
 
 def test_sawtooth_never_exceeds_input_and_equality_set_is_exact():
     grid = np.linspace(0.0, 100.0, 10_001)
-    out = sawtooth(grid)
+    out = apply_valleys(grid)
     assert np.all(out <= grid)
     expected_equal = (grid <= 8.0) | np.isin(grid, SAWTOOTH_PEAKS)
     assert np.array_equal(out == grid, expected_equal)
@@ -199,7 +211,7 @@ def test_sawtooth_slopes_are_unit_magnitude():
     params = SawtoothParams()
     step = 0.001
     grid = np.arange(0.0, 100.0, step)
-    out = sawtooth(grid, params)
+    out = apply_valleys(grid, params)
     slopes = np.diff(out) / step
     # Exclude intervals that straddle a kink (the initial peak or any peak).
     breaks = np.concatenate([[params.v_initial], params.peaks])
@@ -254,26 +266,26 @@ def test_activation_flag_per_kind():
 
 def test_evaluate_dispatch_matches_exploitation_rate():
     g = np.random.default_rng(2).uniform(0, 100, size=10)
-    ind = evaluate(g, DiagnosticSpec(DiagnosticKind.EXPLOITATION_RATE))
-    assert np.array_equal(ind.phenotype, exploitation_rate(g))
-    assert ind.total_fitness == pytest.approx(g.sum())
-    assert ind.activation_gene is None
+    pop = evaluate_one(g, DiagnosticKind.EXPLOITATION_RATE)
+    assert np.array_equal(pop.phenotypes[0], g)
+    assert pop.total_fitness[0] == pytest.approx(g.sum())
+    assert pop.activation_genes is None
 
 
 def test_evaluate_valley_crossing_on_all_peaks_genotype():
     g = np.full(10, 99.0)
-    ind = evaluate(g, DiagnosticSpec(DiagnosticKind.VALLEY_CROSSING))
-    assert ind.total_fitness == pytest.approx(99.0 * 10)
+    pop = evaluate_one(g, DiagnosticKind.VALLEY_CROSSING)
+    assert pop.total_fitness[0] == pytest.approx(99.0 * 10)
 
 
 def test_evaluate_contradictory_valleys_transforms_single_trait():
     g = np.array([1.0, 97.1, 2.0, 0.5])
-    ind = evaluate(g, DiagnosticSpec(DiagnosticKind.CONTRADICTORY_OBJECTIVES_VALLEYS))
-    assert ind.activation_gene == 1
+    pop = evaluate_one(g, DiagnosticKind.CONTRADICTORY_OBJECTIVES_VALLEYS)
+    assert pop.activation_genes.tolist() == [1]
     expected = oracle_sawtooth(97.1)
-    assert ind.phenotype[1] == expected
+    assert pop.phenotypes[0, 1] == expected
     assert expected == pytest.approx(74.9)
-    assert np.count_nonzero(ind.phenotype) == 1
+    assert np.count_nonzero(pop.phenotypes[0]) == 1
 
 
 def test_valley_variants_match_base_then_sawtooth_composition():
@@ -295,12 +307,13 @@ def test_valley_variants_match_base_then_sawtooth_composition():
 
 def test_evaluate_is_pure_and_bit_stable():
     g = np.random.default_rng(30).uniform(0, 100, size=25)
-    spec = DiagnosticSpec(DiagnosticKind.MULTIPATH_VALLEYS)
-    a = evaluate(g, spec)
-    b = evaluate(g, spec)
-    assert np.array_equal(a.phenotype, b.phenotype)
-    assert a.total_fitness == b.total_fitness
-    assert a.activation_gene == b.activation_gene
+    before = g.copy()
+    a = evaluate_one(g, DiagnosticKind.MULTIPATH_VALLEYS)
+    b = evaluate_one(g, DiagnosticKind.MULTIPATH_VALLEYS)
+    assert np.array_equal(g, before)
+    assert np.array_equal(a.phenotypes, b.phenotypes)
+    assert np.array_equal(a.total_fitness, b.total_fitness)
+    assert np.array_equal(a.activation_genes, b.activation_genes)
 
 
 def test_population_arrays_are_frozen():
@@ -308,5 +321,18 @@ def test_population_arrays_are_frozen():
     pop = evaluate_population(genes, DiagnosticSpec(DiagnosticKind.EXPLOITATION_RATE))
     with pytest.raises(ValueError):
         pop.phenotypes[0, 0] = 1.0
-    member = pop[1]
-    assert member.total_fitness == pytest.approx(pop.phenotypes[1].sum())
+    with pytest.raises(ValueError):
+        pop.genotypes[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        pop.total_fitness[0] = 1.0
+    assert pop.total_fitness[1] == pytest.approx(pop.phenotypes[1].sum())
+    # An array that owns its data is kept, not copied, and frozen in place.
+    assert pop.genotypes is genes
+    assert not genes.flags.writeable
+    # A view of a writeable block is copied, so writes through the block
+    # cannot reach the population.
+    block = np.random.default_rng(32).uniform(0, 100, size=(4, 3))
+    view_pop = Population(block[:2], block[:2], block[:2].sum(axis=1))
+    block[0, 0] = -1.0
+    assert view_pop.genotypes[0, 0] != -1.0
+    assert view_pop.phenotypes[0, 0] != -1.0

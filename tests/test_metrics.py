@@ -9,9 +9,7 @@ from evodiags import (
     activation_gene_coverage,
     evaluate_population,
     has_satisfactory_solution,
-    is_satisfactory,
     largest_valley_reached,
-    performance,
     read_records_csv,
     satisfactory_trait_coverage,
     snapshot,
@@ -27,6 +25,12 @@ def pop_from_phenotypes(pheno, spec_kind=DiagnosticKind.EXPLOITATION_RATE):
                                DiagnosticSpec(spec_kind))
 
 
+def performance(traits):
+    """Best performance recorded for a one-member population."""
+    spec = DiagnosticSpec(DiagnosticKind.EXPLOITATION_RATE)
+    return snapshot(pop_from_phenotypes(np.asarray(traits)[None]), 0, spec).best_performance
+
+
 def test_performance_boundaries():
     assert performance(np.full(10, 100.0)) == 100.0
     assert performance(np.zeros(10)) == 0.0
@@ -38,9 +42,12 @@ def test_performance_partial_active_region():
 
 
 def test_is_satisfactory_threshold():
-    assert is_satisfactory(99.0)
-    assert not is_satisfactory(98.999)
-    assert is_satisfactory(100.0)
+    def satisfactory(value):
+        return has_satisfactory_solution(pop_from_phenotypes([[value]]))
+
+    assert satisfactory(99.0)
+    assert not satisfactory(98.999)
+    assert satisfactory(100.0)
 
 
 def test_satisfactory_trait_coverage_counts_unique_columns():

@@ -9,10 +9,8 @@ from evodiags import (
     Population,
     SchemeKind,
     SchemeParams,
-    dominates,
     fitness_sharing_select,
     lexicase_select,
-    niche_count,
     nondominated_fronts,
     novelty_scores,
     novelty_select,
@@ -24,7 +22,7 @@ from evodiags import (
     tournament_select,
     truncation_select,
 )
-from evodiags.selection import nsga_front_assignment
+from evodiags.selection import niche_counts, nsga_front_assignment
 
 from oracles import (
     oracle_dominates,
@@ -38,6 +36,12 @@ def make_pop(phenotypes, genotypes=None):
     pheno = np.asarray(phenotypes, dtype=np.float64)
     geno = pheno.copy() if genotypes is None else np.asarray(genotypes, dtype=np.float64)
     return Population(geno, pheno, pheno.sum(axis=1))
+
+
+def dominates(x, y):
+    """Whether x dominates y, read off the fronts of the two-row block."""
+    fronts = nondominated_fronts(np.array([x, y], dtype=np.float64))
+    return [f.tolist() for f in fronts] == [[0], [1]]
 
 
 def fitness_pop(fitnesses):
@@ -153,34 +157,30 @@ def test_rank_schemes_invariant_under_monotone_fitness_transform():
 
 
 def test_sharing_kernel_values():
-    assert sharing_kernel(0.0, 0.3, 1.0) == 1.0
-    assert sharing_kernel(0.3, 0.3, 1.0) == 0.0
-    assert sharing_kernel(0.15, 0.3, 1.0) == pytest.approx(0.5)
-    assert sharing_kernel(5.0, 0.3, 1.0) == 0.0
-    assert sharing_kernel(0.0, 0.0, 1.0) == 0.0  # sigma 0 disables sharing
+    d = np.array([0.0, 0.3, 0.15, 5.0])
+    assert sharing_kernel(d, 0.3, 1.0) == pytest.approx([1.0, 0.0, 0.5, 0.0])
+    assert np.array_equal(sharing_kernel(d, 0.0, 1.0), np.zeros(4))  # sigma 0 disables sharing
 
 
 def test_niche_count_identical_population():
-    pop = make_pop(np.full((6, 3), 42.0))
-    for i in range(6):
-        assert niche_count(i, pop, "phenotypic", 0.3, 1.0) == pytest.approx(6.0)
+    m = niche_counts(np.full((6, 3), 42.0), 0.3, 1.0)
+    assert m == pytest.approx(np.full(6, 6.0))
 
 
 def test_niche_count_distant_members_only_self():
-    pop = make_pop(np.diag([100.0, 100.0, 100.0]))
-    assert niche_count(0, pop, "phenotypic", 0.3, 1.0) == pytest.approx(1.0)
+    m = niche_counts(np.diag([100.0, 100.0, 100.0]), 0.3, 1.0)
+    assert m == pytest.approx(np.ones(3))
 
 
 def test_niche_count_two_members_at_half_sigma():
     # Raw distance 0.15 with normalization off: m = 1 + (1 - 0.15/0.3) = 1.5.
-    pop = make_pop(np.array([[0.0, 0.0], [0.15, 0.0]]))
-    m = niche_count(0, pop, "phenotypic", 0.3, 1.0, normalize=False)
-    assert m == pytest.approx(1.5)
+    m = niche_counts(np.array([[0.0, 0.0], [0.15, 0.0]]), 0.3, 1.0, normalize=False)
+    assert m == pytest.approx([1.5, 1.5])
     # Same geometry scaled up to normalized units: distance/diameter = 0.15.
     diameter = 100.0 * np.sqrt(2.0)
-    pop = make_pop(np.array([[0.0, 0.0], [0.15 * diameter, 0.0]]))
-    m = niche_count(0, pop, "phenotypic", 0.3, 1.0, normalize=True)
-    assert m == pytest.approx(1.5)
+    m = niche_counts(np.array([[0.0, 0.0], [0.15 * diameter, 0.0]]), 0.3, 1.0,
+                     normalize=True)
+    assert m == pytest.approx([1.5, 1.5])
 
 
 def test_sharing_identical_members_select_uniformly_in_expectation():
@@ -210,19 +210,24 @@ def test_sharing_sigma_zero_reduces_to_raw_stochastic_remainder():
 
 
 def test_sharing_genotypic_uses_genotypes():
-    # Same phenotypes, different genotypes: genotypic metric must see the genotypes.
-    pheno = np.full((2, 2), 10.0)
-    geno = np.array([[0.0, 0.0], [100.0, 100.0]])
+    # Same phenotypes, different genotypes: genotypic metric must see the
+    # genotypes. Genotypic niche counts are [2, 2, 1], so shared fitness
+    # is [10, 10, 20] and four slots split exactly 1, 1, 2; phenotypic
+    # counts are all 3, so three slots split exactly 1, 1, 1.
+    pheno = np.full((3, 2), 10.0)
+    geno = np.array([[0.0, 0.0], [0.0, 0.0], [100.0, 100.0]])
     pop = make_pop(pheno, genotypes=geno)
-    assert niche_count(0, pop, "genotypic", 0.3, 1.0) == pytest.approx(1.0)
-    assert niche_count(0, pop, "phenotypic", 0.3, 1.0) == pytest.approx(2.0)
+    rng = np.random.default_rng(12)
+    assert Counter(fitness_sharing_select(pop, "genotypic", 0.3, 1.0, 4, rng)) == \
+        {0: 1, 1: 1, 2: 2}
+    assert Counter(fitness_sharing_select(pop, "phenotypic", 0.3, 1.0, 3, rng)) == \
+        {0: 1, 1: 1, 2: 1}
 
 
 def test_shared_fitness_never_exceeds_raw():
     rng = np.random.default_rng(12)
     pheno = rng.uniform(0, 100, size=(30, 4))
     pop = make_pop(pheno)
-    from evodiags.selection import niche_counts
     m = niche_counts(pop.phenotypes, 0.3, 1.0)
     assert np.all(m >= 1.0)
     assert np.all(pop.total_fitness / m <= pop.total_fitness + 1e-12)
@@ -368,8 +373,7 @@ def test_dominates_basic_cases():
     assert not dominates([1.0, 1.0], [1.0, 1.0])
     assert not dominates([2.0, 0.0], [1.0, 1.0])
     assert not dominates([1.0, 1.0], [2.0, 0.0])
-    with pytest.raises(ValueError):
-        dominates([1.0], [1.0, 2.0])
+    assert not dominates([1.0, 0.0], [1.0, 1.0])
 
 
 def test_fronts_single_front_when_incomparable():
@@ -417,27 +421,27 @@ def test_nsga_two_singleton_fronts_ratio():
     # Distant phenotypes (no sharing): shared fitness N for the dominator,
     # 0.99 N for the dominated.
     pheno = np.array([[100.0, 100.0], [0.0, 0.0]])
-    assignment = nsga_front_assignment(pheno, 0.3, 1.0, normalize=True)
-    assert assignment.shared_fitness[0] == pytest.approx(2.0)
-    assert assignment.shared_fitness[1] == pytest.approx(0.99 * 2.0)
+    _, shared = nsga_front_assignment(pheno, 0.3, 1.0, normalize=True)
+    assert shared[0] == pytest.approx(2.0)
+    assert shared[1] == pytest.approx(0.99 * 2.0)
 
 
 def test_nsga_front_fitness_strictly_ordered():
     rng = np.random.default_rng(24)
     pheno = rng.uniform(0, 100, size=(40, 3))
-    assignment = nsga_front_assignment(pheno, 0.3, 1.0)
+    fronts, shared = nsga_front_assignment(pheno, 0.3, 1.0)
     previous_min = np.inf
-    for front in assignment.fronts:
-        values = assignment.shared_fitness[front]
+    for front in fronts:
+        values = shared[front]
         assert values.max() < previous_min + 1e-12
         previous_min = values.min()
 
 
 def test_nsga_sigma_zero_is_pure_front_ranking():
     pheno = np.array([[5.0, 5.0], [5.0, 5.0], [1.0, 1.0]])
-    assignment = nsga_front_assignment(pheno, 0.0, 1.0)
-    assert assignment.shared_fitness[0] == assignment.shared_fitness[1] == 3.0
-    assert assignment.shared_fitness[2] == pytest.approx(0.99 * 3.0)
+    _, shared = nsga_front_assignment(pheno, 0.0, 1.0)
+    assert shared[0] == shared[1] == 3.0
+    assert shared[2] == pytest.approx(0.99 * 3.0)
 
 
 # ---------------------------------------------------------------------------
