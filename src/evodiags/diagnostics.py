@@ -136,6 +136,7 @@ def all_diagnostic_names() -> list[str]:
 
 
 def _ordered_exploitation_rows(rows: np.ndarray) -> np.ndarray:
+    """Express each row's leading non-increasing run; later traits are 0."""
     n, dim = rows.shape
     traits = rows.copy()
     if dim > 1:
@@ -149,6 +150,8 @@ def _ordered_exploitation_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _contradictory_objectives_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Express only each row's highest gene, its activation gene (ties go
+    to the lower index)."""
     n = rows.shape[0]
     activation = rows.argmax(axis=1)
     traits = np.zeros_like(rows)
@@ -158,6 +161,9 @@ def _contradictory_objectives_rows(rows: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _multipath_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Express the non-increasing run that opens at each row's activation
+    gene (its highest, ties to the lower index) and closes before the
+    first gene that rises above its predecessor."""
     n, dim = rows.shape
     activation = rows.argmax(axis=1)
     cols = np.arange(dim)

@@ -152,8 +152,8 @@ def test_bonferroni_examples():
 
 
 def test_empty_sample_rejected_and_plain_sequences_used():
-    # An empty group used to give (nan, nan), which analyze would read as
-    # a significant omnibus.
+    # An empty group has no ranks; a nan p-value would read as significant
+    # in analyze (nan >= alpha is False).
     with pytest.raises(ValueError):
         kruskal_wallis([[], [1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ValueError):
