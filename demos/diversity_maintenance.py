@@ -33,5 +33,5 @@ for scheme in (SchemeKind.TRUNCATION, SchemeKind.SHARING_PHENOTYPIC,
         pop_size=64, generations=GENERATIONS, dim=10, seed=11, record_stride=300)
     result = run_replicate(config)
     coverage = [r.activation_gene_coverage for r in result.records]
-    satisfied = result.final_record.satisfactory_trait_coverage
+    satisfied = result.records[-1].satisfactory_trait_coverage
     print(f"{scheme.value:20s} {coverage}   final satisfied traits: {satisfied}")

@@ -18,6 +18,7 @@ from evodiags import (
     SchemeKind,
     SchemeParams,
     evaluate_population,
+    fresh_scheme_state,
     select,
 )
 
@@ -38,7 +39,7 @@ for i, (activation, fitness) in enumerate(zip(pop.activation_genes, pop.total_fi
 print("\nparent counts over 4000 picks:")
 print(f"{'scheme':20s} " + " ".join(f"{i:>4d}" for i in range(12)))
 for kind in SchemeKind:
-    params = SchemeParams(scheme=kind, tr=3, ts=3)
-    idx = select(pop, params, 4000, np.random.default_rng(13))
+    state = fresh_scheme_state(SchemeParams(scheme=kind, tr=3, ts=3))
+    idx = select(pop, state, 4000, np.random.default_rng(13))
     counts = np.bincount(idx, minlength=12)
     print(f"{kind.value:20s} " + " ".join(f"{c:4d}" for c in counts))

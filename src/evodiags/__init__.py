@@ -12,11 +12,14 @@ single genotype is a block of one row, e.g. ``translate(g[None], spec)``.
 
 Modules:
     core: genome blocks, bounded batch mutation, the frozen population.
-    diagnostics: the eight translations (``translate``,
-        ``evaluate_population``) and the sawtooth (``apply_valleys``).
+    diagnostics: the eight translations, one ``DIAGNOSTICS`` row each
+        (``translate``, ``evaluate_population``), and the sawtooth.
     selection: truncation, tournament, fitness sharing (genotypic and
         phenotypic), lexicase, nondominated sorting, novelty search, and
-        the random control, behind one ``select`` dispatcher.
+        the random control, one ``SCHEMES`` row each behind ``select``.
+        Frozen ``SchemeParams`` configure a scheme; ``fresh_scheme_state``
+        starts the run state that ``select`` updates (novelty's archive
+        and ``pmin``).
     evolve: the per-replicate generational loop.
     metrics: generation records and their CSV format.
     stats: Kruskal-Wallis, Wilcoxon rank-sum, Bonferroni correction.
@@ -40,7 +43,7 @@ from .diagnostics import (
     evaluate_population,
     translate,
 )
-from .evolve import ReplicateConfig, ReplicateResult, run_generation, run_replicate
+from .evolve import ReplicateConfig, ReplicateResult, run_replicate
 from .metrics import (
     GenerationRecord,
     activation_gene_coverage,
@@ -53,9 +56,12 @@ from .metrics import (
 )
 from .selection import (
     NoveltyParams,
+    NoveltyState,
     SchemeKind,
     SchemeParams,
+    SchemeState,
     fitness_sharing_select,
+    fresh_scheme_state,
     lexicase_select,
     nondominated_fronts,
     novelty_scores,

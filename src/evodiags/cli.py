@@ -30,10 +30,10 @@ from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
 from .core import ConfigurationError, MutationParams
-from .diagnostics import DiagnosticKind, DiagnosticSpec, all_diagnostic_names
+from .diagnostics import DIAGNOSTICS, DiagnosticKind, DiagnosticSpec, all_diagnostic_names
 from .evolve import ReplicateConfig, run_replicate
 from .metrics import CSV_HEADER, read_records_csv, write_records_csv
-from .selection import NoveltyParams, SchemeKind, SchemeParams, all_scheme_names
+from .selection import SCHEMES, NoveltyParams, SchemeKind, SchemeParams, all_scheme_names
 from .stats import SIGNIFICANCE_LEVEL, bonferroni, kruskal_wallis, wilcoxon_rank_sum
 
 EXIT_OK = 0
@@ -391,46 +391,13 @@ def analyze(
 # describe
 # ---------------------------------------------------------------------------
 
-_DIAGNOSTIC_BLURBS = {
-    DiagnosticKind.EXPLOITATION_RATE:
-        "genes copy straight to traits; D independent smooth gradients",
-    DiagnosticKind.ORDERED_EXPLOITATION:
-        "only the leading non-increasing run of genes is expressed",
-    DiagnosticKind.CONTRADICTORY_OBJECTIVES:
-        "only the highest gene is expressed; one optimum per trait",
-    DiagnosticKind.MULTIPATH_EXPLORATION:
-        "non-increasing run from the highest gene; pathways of unequal length",
-    DiagnosticKind.VALLEY_CROSSING:
-        "exploitation-rate traits pushed through the sawtooth valleys",
-    DiagnosticKind.ORDERED_EXPLOITATION_VALLEYS:
-        "ordered-exploitation with sawtooth valleys",
-    DiagnosticKind.CONTRADICTORY_OBJECTIVES_VALLEYS:
-        "contradictory-objectives with sawtooth valleys",
-    DiagnosticKind.MULTIPATH_VALLEYS:
-        "multipath-exploration with sawtooth valleys",
-}
-
-_SCHEME_BLURBS = {
-    SchemeKind.TRUNCATION: "top tr by total fitness parent the next generation",
-    SchemeKind.TOURNAMENT: "best total fitness out of ts random entrants",
-    SchemeKind.SHARING_GENOTYPIC:
-        "fitness divided by genotypic niche count, stochastic remainder",
-    SchemeKind.SHARING_PHENOTYPIC:
-        "fitness divided by phenotypic niche count, stochastic remainder",
-    SchemeKind.LEXICASE: "filter through shuffled per-trait test cases",
-    SchemeKind.NSGA: "nondominated fronts with within-front fitness sharing",
-    SchemeKind.NOVELTY: "size-2 tournaments on mean distance to k nearest phenotypes",
-    SchemeKind.RANDOM: "uniform random control",
-}
-
-
 def describe() -> int:
     print("diagnostics:")
     for kind in DiagnosticKind:
-        print(f"  {kind.value:36s} {_DIAGNOSTIC_BLURBS[kind]}")
+        print(f"  {kind.value:36s} {DIAGNOSTICS[kind].describe}")
     print("\nselection schemes:")
     for kind in SchemeKind:
-        print(f"  {kind.value:36s} {_SCHEME_BLURBS[kind]}")
+        print(f"  {kind.value:36s} {SCHEMES[kind].describe}")
     print("\nmetrics columns:", ", ".join(CSV_HEADER))
     return EXIT_OK
 

@@ -157,18 +157,18 @@ def mutate_batch(
     params: MutationParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Return a mutated copy of an (N, D) block of genotypes.
+    """Mutate a writeable (N, D) float64 block of genotypes in place and
+    return it.
 
     Each gene independently mutates with probability
-    ``params.per_gene_rate``; unmutated genes are copied unchanged. Draws
-    the hit mask first and then one normal step per hit, in row-major
-    order, so the consumed stream is a pure function of the generator
-    state and the block shape.
+    ``params.per_gene_rate``; the other genes stay as they are. Draws the
+    hit mask first and then one normal step per hit, in row-major order,
+    so the consumed stream is a pure function of the generator state and
+    the block shape. Pass a copy to keep the original block.
     """
-    out = np.array(genotypes, dtype=np.float64, copy=True)
-    mask = rng.random(out.shape) < params.per_gene_rate
+    mask = rng.random(genotypes.shape) < params.per_gene_rate
     n_hits = int(mask.sum())
     if n_hits:
         steps = rng.normal(0.0, params.step_stddev, size=n_hits)
-        out[mask] = rebound(out[mask] + steps, params.lo, params.hi)
-    return out
+        genotypes[mask] = rebound(genotypes[mask] + steps, params.lo, params.hi)
+    return genotypes

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,28 +42,6 @@ class DiagnosticKind(str, Enum):
     ORDERED_EXPLOITATION_VALLEYS = "ordered-exploitation-valleys"
     CONTRADICTORY_OBJECTIVES_VALLEYS = "contradictory-objectives-valleys"
     MULTIPATH_VALLEYS = "multipath-valleys"
-
-
-_VALLEY_KINDS = {
-    DiagnosticKind.VALLEY_CROSSING,
-    DiagnosticKind.ORDERED_EXPLOITATION_VALLEYS,
-    DiagnosticKind.CONTRADICTORY_OBJECTIVES_VALLEYS,
-    DiagnosticKind.MULTIPATH_VALLEYS,
-}
-
-_ACTIVATION_KINDS = {
-    DiagnosticKind.CONTRADICTORY_OBJECTIVES,
-    DiagnosticKind.MULTIPATH_EXPLORATION,
-    DiagnosticKind.CONTRADICTORY_OBJECTIVES_VALLEYS,
-    DiagnosticKind.MULTIPATH_VALLEYS,
-}
-
-_BASE_OF_VALLEY = {
-    DiagnosticKind.VALLEY_CROSSING: DiagnosticKind.EXPLOITATION_RATE,
-    DiagnosticKind.ORDERED_EXPLOITATION_VALLEYS: DiagnosticKind.ORDERED_EXPLOITATION,
-    DiagnosticKind.CONTRADICTORY_OBJECTIVES_VALLEYS: DiagnosticKind.CONTRADICTORY_OBJECTIVES,
-    DiagnosticKind.MULTIPATH_VALLEYS: DiagnosticKind.MULTIPATH_EXPLORATION,
-}
 
 
 @dataclass(frozen=True)
@@ -111,7 +89,7 @@ class DiagnosticSpec:
     def __post_init__(self) -> None:
         kind = DiagnosticKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        if kind in _VALLEY_KINDS:
+        if DIAGNOSTICS[kind].valleys:
             if self.sawtooth is None:
                 object.__setattr__(self, "sawtooth", _DEFAULT_SAWTOOTH)
         elif self.sawtooth is not None:
@@ -119,11 +97,11 @@ class DiagnosticSpec:
 
     @property
     def is_valley(self) -> bool:
-        return self.kind in _VALLEY_KINDS
+        return DIAGNOSTICS[self.kind].valleys
 
     @property
     def has_activation(self) -> bool:
-        return self.kind in _ACTIVATION_KINDS
+        return DIAGNOSTICS[self.kind].activation
 
 
 def all_diagnostic_names() -> list[str]:
@@ -135,7 +113,12 @@ def all_diagnostic_names() -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _ordered_exploitation_rows(rows: np.ndarray) -> np.ndarray:
+def _exploitation_rate_rows(rows: np.ndarray) -> tuple[np.ndarray, None]:
+    """Express every gene as its trait."""
+    return rows.copy(), None
+
+
+def _ordered_exploitation_rows(rows: np.ndarray) -> tuple[np.ndarray, None]:
     """Express each row's leading non-increasing run; later traits are 0."""
     n, dim = rows.shape
     traits = rows.copy()
@@ -146,7 +129,7 @@ def _ordered_exploitation_rows(rows: np.ndarray) -> np.ndarray:
         first_rise = rising.argmax(axis=1)
         active_len = np.where(has_rise, first_rise + 1, dim)
         traits[np.arange(dim) >= active_len[:, np.newaxis]] = 0.0
-    return traits
+    return traits, None
 
 
 def _contradictory_objectives_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,8 +188,46 @@ def apply_valleys(traits: np.ndarray, params: SawtoothParams = _DEFAULT_SAWTOOTH
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# The catalog and the dispatcher
 # ---------------------------------------------------------------------------
+
+
+class Diagnostic(NamedTuple):
+    """A diagnostic's base translation, whether the sawtooth follows it,
+    whether it has activation genes, and its one-line description."""
+
+    rows: Callable[[np.ndarray], tuple[np.ndarray, Optional[np.ndarray]]]
+    valleys: bool
+    activation: bool
+    describe: str
+
+
+DIAGNOSTICS = {
+    DiagnosticKind.EXPLOITATION_RATE: Diagnostic(
+        _exploitation_rate_rows, False, False,
+        "genes copy straight to traits; D independent smooth gradients"),
+    DiagnosticKind.ORDERED_EXPLOITATION: Diagnostic(
+        _ordered_exploitation_rows, False, False,
+        "only the leading non-increasing run of genes is expressed"),
+    DiagnosticKind.CONTRADICTORY_OBJECTIVES: Diagnostic(
+        _contradictory_objectives_rows, False, True,
+        "only the highest gene is expressed; one optimum per trait"),
+    DiagnosticKind.MULTIPATH_EXPLORATION: Diagnostic(
+        _multipath_rows, False, True,
+        "non-increasing run from the highest gene; pathways of unequal length"),
+    DiagnosticKind.VALLEY_CROSSING: Diagnostic(
+        _exploitation_rate_rows, True, False,
+        "exploitation-rate traits pushed through the sawtooth valleys"),
+    DiagnosticKind.ORDERED_EXPLOITATION_VALLEYS: Diagnostic(
+        _ordered_exploitation_rows, True, False,
+        "ordered-exploitation with sawtooth valleys"),
+    DiagnosticKind.CONTRADICTORY_OBJECTIVES_VALLEYS: Diagnostic(
+        _contradictory_objectives_rows, True, True,
+        "contradictory-objectives with sawtooth valleys"),
+    DiagnosticKind.MULTIPATH_VALLEYS: Diagnostic(
+        _multipath_rows, True, True,
+        "multipath-exploration with sawtooth valleys"),
+}
 
 
 def translate(genotypes: np.ndarray, spec: DiagnosticSpec) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -217,17 +238,8 @@ def translate(genotypes: np.ndarray, spec: DiagnosticSpec) -> tuple[np.ndarray, 
     translation and then the sawtooth; activation genes are determined
     from the raw genes, before the sawtooth is applied.
     """
-    rows = np.asarray(genotypes, dtype=np.float64)
-    base = _BASE_OF_VALLEY.get(spec.kind, spec.kind)
-    activation = None
-    if base is DiagnosticKind.EXPLOITATION_RATE:
-        traits = rows.copy()
-    elif base is DiagnosticKind.ORDERED_EXPLOITATION:
-        traits = _ordered_exploitation_rows(rows)
-    elif base is DiagnosticKind.CONTRADICTORY_OBJECTIVES:
-        traits, activation = _contradictory_objectives_rows(rows)
-    else:
-        traits, activation = _multipath_rows(rows)
+    traits, activation = DIAGNOSTICS[spec.kind].rows(
+        np.asarray(genotypes, dtype=np.float64))
     if spec.is_valley:
         traits = apply_valleys(traits, spec.sawtooth)
     return traits, activation

@@ -15,16 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    ConfigurationError,
-    MutationParams,
-    Population,
-    mutate_batch,
-    random_genotypes,
-)
+from .core import ConfigurationError, MutationParams, mutate_batch, random_genotypes
 from .diagnostics import DiagnosticSpec, evaluate_population
 from .metrics import GenerationRecord, has_satisfactory_solution, snapshot
-from .selection import SchemeKind, SchemeParams, fresh_scheme_state, select
+from .selection import SchemeParams, fresh_scheme_state, select
 
 BOUNDS_CHECK_STRIDE = 1000
 
@@ -64,21 +58,8 @@ class ReplicateResult:
 
     records: list[GenerationRecord]
     satisfactory_generation: Optional[int]
-    final_record: GenerationRecord
     best_genotype: np.ndarray
     best_phenotype: np.ndarray
-
-
-def run_generation(
-    pop: Population,
-    config: ReplicateConfig,
-    scheme_state: SchemeParams,
-    rng: np.random.Generator,
-) -> Population:
-    """Select parents, reproduce asexually with mutation, evaluate."""
-    parents = select(pop, scheme_state, config.pop_size, rng)
-    offspring = mutate_batch(pop.genotypes[parents], config.mutation, rng)
-    return evaluate_population(offspring, config.diagnostic)
 
 
 def run_replicate(config: ReplicateConfig) -> ReplicateResult:
@@ -91,10 +72,8 @@ def run_replicate(config: ReplicateConfig) -> ReplicateResult:
     stride.
     """
     rng = np.random.default_rng(config.seed)
-    scheme_state = fresh_scheme_state(config.scheme)
-    archive = (
-        scheme_state.novelty.archive
-        if scheme_state.scheme is SchemeKind.NOVELTY else None)
+    state = fresh_scheme_state(config.scheme)
+    archive = state.novelty.archive if state.novelty else None
 
     genotypes = random_genotypes(
         config.pop_size, config.dim, config.init_lo, config.init_hi, rng)
@@ -109,7 +88,9 @@ def run_replicate(config: ReplicateConfig) -> ReplicateResult:
     satisfactory_generation = 0 if has_satisfactory_solution(pop) else None
 
     for gen in range(1, config.generations + 1):
-        pop = run_generation(pop, config, scheme_state, rng)
+        parents = select(pop, state, config.pop_size, rng)
+        offspring = mutate_batch(pop.genotypes[parents], config.mutation, rng)
+        pop = evaluate_population(offspring, config.diagnostic)
         if satisfactory_generation is None and has_satisfactory_solution(pop):
             satisfactory_generation = gen
         if gen % config.record_stride == 0 or gen == config.generations:
@@ -122,7 +103,6 @@ def run_replicate(config: ReplicateConfig) -> ReplicateResult:
     return ReplicateResult(
         records=records,
         satisfactory_generation=satisfactory_generation,
-        final_record=records[-1],
         best_genotype=pop.genotypes[best].copy(),
         best_phenotype=pop.phenotypes[best].copy(),
     )

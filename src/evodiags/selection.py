@@ -16,10 +16,9 @@ threshold ``pmin`` is calibrated in raw units.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -44,28 +43,30 @@ def all_scheme_names() -> list[str]:
     return [kind.value for kind in SchemeKind]
 
 
-@dataclass
-class NoveltyParams:
-    """Novelty search configuration plus its mutable archive state.
+# Novelty search's fixed rules: ``pmin`` rises by ``NOVELTY_RAISE_FACTOR``
+# when more than ``NOVELTY_BURST_LIMIT`` phenotypes clear it in one
+# generation, and falls by ``NOVELTY_DECAY_FACTOR`` after
+# ``NOVELTY_DECAY_WINDOW`` generations in a row without one; parents come
+# from size-``NOVELTY_TOURNAMENT_SIZE`` tournaments on the scores.
+NOVELTY_BURST_LIMIT = 4
+NOVELTY_RAISE_FACTOR = 1.25
+NOVELTY_DECAY_WINDOW = 500
+NOVELTY_DECAY_FACTOR = 0.95
+NOVELTY_TOURNAMENT_SIZE = 2
 
-    The archive is append-only. ``pmin`` adapts over a run: it rises 25%
-    whenever more than ``burst_limit`` phenotypes clear it in a single
-    generation, and decays 5% after ``decay_window`` consecutive
-    generations without a threshold addition. Independently, about one
-    random population phenotype per ``save_period`` generations is
-    archived regardless of score.
+
+@dataclass(frozen=True)
+class NoveltyParams:
+    """Novelty search configuration.
+
+    ``pmin`` is the archive threshold a run starts from; about one random
+    population phenotype per ``save_period`` generations is archived
+    regardless of score.
     """
 
     k: int = 15
     pmin: float = 10.0
-    archive: list[np.ndarray] = field(default_factory=list)
-    generations_since_add: int = 0
     save_period: int = 200
-    burst_limit: int = 4
-    raise_factor: float = 1.25
-    decay_window: int = 500
-    decay_factor: float = 0.95
-    tournament_size: int = 2
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -75,8 +76,24 @@ class NoveltyParams:
 
 
 @dataclass
+class NoveltyState:
+    """One novelty run's state: the append-only archive (the same list for
+    the whole run), the current ``pmin``, and the generations since the
+    last threshold addition."""
+
+    params: NoveltyParams
+    archive: list[np.ndarray] = field(default_factory=list)
+    generations_since_add: int = 0
+    pmin: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.pmin = self.params.pmin
+
+
+@dataclass(frozen=True)
 class SchemeParams:
-    """Per-scheme configuration bundle handed to :func:`select`."""
+    """Per-scheme configuration; :func:`fresh_scheme_state` starts a run
+    from it."""
 
     scheme: SchemeKind
     tr: int = 8
@@ -87,7 +104,7 @@ class SchemeParams:
     novelty: NoveltyParams = field(default_factory=NoveltyParams)
 
     def __post_init__(self) -> None:
-        self.scheme = SchemeKind(self.scheme)
+        object.__setattr__(self, "scheme", SchemeKind(self.scheme))
         if self.tr < 1:
             raise ConfigurationError(f"tr must be >= 1, got {self.tr}")
         if self.ts < 1:
@@ -96,6 +113,26 @@ class SchemeParams:
             raise ConfigurationError(f"sigma must be >= 0, got {self.sigma}")
         if self.alpha <= 0.0:
             raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
+
+
+@dataclass
+class SchemeState:
+    """What :func:`select` reads and updates over one replicate: the
+    frozen params, plus the run state of novelty search (None for every
+    other scheme)."""
+
+    params: SchemeParams
+    novelty: Optional[NoveltyState] = None
+
+    @property
+    def scheme(self) -> SchemeKind:
+        return self.params.scheme
+
+
+def fresh_scheme_state(params: SchemeParams) -> SchemeState:
+    """A new replicate's state; no two replicates share an archive."""
+    is_novelty = params.scheme is SchemeKind.NOVELTY
+    return SchemeState(params, NoveltyState(params.novelty) if is_novelty else None)
 
 
 # ---------------------------------------------------------------------------
@@ -170,45 +207,33 @@ def sharing_kernel(d: np.ndarray, sigma: float, alpha: float) -> np.ndarray:
     return np.where(d < sigma, 1.0 - (d / sigma) ** alpha, 0.0)
 
 
-def pairwise_distances(points: np.ndarray, normalize: bool) -> np.ndarray:
-    """Euclidean distance matrix, optionally scaled by the space diameter."""
-    dmat = cdist(points, points)
-    if normalize:
-        dmat = dmat / (UPPER_BOUND * np.sqrt(points.shape[1]))
-    return dmat
-
-
 def niche_counts(
     points: np.ndarray, sigma: float, alpha: float, normalize: bool = True
 ) -> np.ndarray:
     """Per-row sum of the sharing kernel over all rows (self included).
 
-    The self term contributes 1, so counts are always >= 1; with sharing
+    Distances are Euclidean, optionally scaled by the space diameter. The
+    self term contributes 1, so counts are always >= 1; with sharing
     disabled (sigma 0) every count is exactly 1.
     """
-    dmat = pairwise_distances(points, normalize)
+    dmat = cdist(points, points)
+    if normalize:
+        dmat = dmat / (UPPER_BOUND * np.sqrt(points.shape[1]))
     return np.maximum(sharing_kernel(dmat, sigma, alpha).sum(axis=1), 1.0)
-
-
-def _metric_points(pop: Population, metric: str) -> np.ndarray:
-    if metric == "genotypic":
-        return pop.genotypes
-    if metric == "phenotypic":
-        return pop.phenotypes
-    raise ConfigurationError(f"unknown similarity metric {metric!r}")
 
 
 def fitness_sharing_select(
     pop: Population,
-    metric: str,
+    points: np.ndarray,
     sigma: float,
     alpha: float,
     n: int,
     rng: np.random.Generator,
     normalize: bool = True,
 ) -> np.ndarray:
-    """Divide each fitness by its niche count, then stochastic remainder."""
-    m = niche_counts(_metric_points(pop, metric), sigma, alpha, normalize)
+    """Divide each fitness by its niche count among ``points`` (the
+    population's genotypes or phenotypes), then stochastic remainder."""
+    m = niche_counts(points, sigma, alpha, normalize)
     return stochastic_remainder(pop.total_fitness / m, n, rng)
 
 
@@ -396,13 +421,10 @@ def nsga_front_assignment(
     """
     pheno = np.asarray(phenotypes, dtype=np.float64)
     fronts = nondominated_fronts(pheno)
-    dmat = pairwise_distances(pheno, normalize)
     shared = np.empty(pheno.shape[0], dtype=np.float64)
     dummy = float(pheno.shape[0])
     for front in fronts:
-        sub = dmat[np.ix_(front, front)]
-        m = np.maximum(sharing_kernel(sub, sigma, alpha).sum(axis=1), 1.0)
-        shared[front] = dummy / m
+        shared[front] = dummy / niche_counts(pheno[front], sigma, alpha, normalize)
         dummy = _FRONT_DECAY * shared[front].min()
     return fronts, shared
 
@@ -452,72 +474,80 @@ def novelty_scores(
 
 
 def novelty_select(
-    pop: Population,
-    params: NoveltyParams,
-    n: int,
-    rng: np.random.Generator,
+    pop: Population, state: NoveltyState, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Score novelty, update the archive state in place, then run
-    size-two tournaments on the scores.
+    """Score novelty, update the run state in place, then run size-two
+    tournaments on the scores.
 
     Archive update order: threshold additions, burst check on ``pmin``,
     stagnation decay of ``pmin``, then the periodic random save.
     """
-    scores = novelty_scores(pop.phenotypes, params.archive, params.k)
-    novel = np.flatnonzero(scores > params.pmin)
+    scores = novelty_scores(pop.phenotypes, state.archive, state.params.k)
+    novel = np.flatnonzero(scores > state.pmin)
     for idx in novel:
-        params.archive.append(pop.phenotypes[idx].copy())
-    if novel.size > params.burst_limit:
-        params.pmin *= params.raise_factor
+        state.archive.append(pop.phenotypes[idx].copy())
+    if novel.size > NOVELTY_BURST_LIMIT:
+        state.pmin *= NOVELTY_RAISE_FACTOR
     if novel.size > 0:
-        params.generations_since_add = 0
+        state.generations_since_add = 0
     else:
-        params.generations_since_add += 1
-        if params.generations_since_add >= params.decay_window:
-            params.pmin *= params.decay_factor
-            params.generations_since_add = 0
-    if rng.random() < 1.0 / params.save_period:
-        params.archive.append(pop.phenotypes[rng.integers(len(pop))].copy())
-    return _score_tournaments(scores, params.tournament_size, n, rng)
+        state.generations_since_add += 1
+        if state.generations_since_add >= NOVELTY_DECAY_WINDOW:
+            state.pmin *= NOVELTY_DECAY_FACTOR
+            state.generations_since_add = 0
+    if rng.random() < 1.0 / state.params.save_period:
+        state.archive.append(pop.phenotypes[rng.integers(len(pop))].copy())
+    return _score_tournaments(scores, NOVELTY_TOURNAMENT_SIZE, n, rng)
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# The catalog and the dispatcher
 # ---------------------------------------------------------------------------
+
+
+class Scheme(NamedTuple):
+    """How :func:`select` runs a scheme, and its one-line description."""
+
+    select: Callable[[Population, SchemeState, int, np.random.Generator], np.ndarray]
+    describe: str
+
+
+SCHEMES = {
+    SchemeKind.TRUNCATION: Scheme(
+        lambda pop, state, n, rng: truncation_select(pop, state.params.tr, n, rng),
+        "top tr by total fitness parent the next generation"),
+    SchemeKind.TOURNAMENT: Scheme(
+        lambda pop, state, n, rng: tournament_select(pop, state.params.ts, n, rng),
+        "best total fitness out of ts random entrants"),
+    SchemeKind.SHARING_GENOTYPIC: Scheme(
+        lambda pop, state, n, rng: fitness_sharing_select(
+            pop, pop.genotypes, state.params.sigma, state.params.alpha, n, rng,
+            state.params.normalize_distance),
+        "fitness divided by genotypic niche count, stochastic remainder"),
+    SchemeKind.SHARING_PHENOTYPIC: Scheme(
+        lambda pop, state, n, rng: fitness_sharing_select(
+            pop, pop.phenotypes, state.params.sigma, state.params.alpha, n, rng,
+            state.params.normalize_distance),
+        "fitness divided by phenotypic niche count, stochastic remainder"),
+    SchemeKind.LEXICASE: Scheme(
+        lambda pop, state, n, rng: lexicase_select(pop, n, rng),
+        "filter through shuffled per-trait test cases"),
+    SchemeKind.NSGA: Scheme(
+        lambda pop, state, n, rng: nsga_select(
+            pop, state.params.sigma, state.params.alpha, n, rng,
+            state.params.normalize_distance),
+        "nondominated fronts with within-front fitness sharing"),
+    SchemeKind.NOVELTY: Scheme(
+        lambda pop, state, n, rng: novelty_select(pop, state.novelty, n, rng),
+        "size-2 tournaments on mean distance to k nearest phenotypes"),
+    SchemeKind.RANDOM: Scheme(
+        lambda pop, state, n, rng: random_select(pop, n, rng),
+        "uniform random control"),
+}
 
 
 def select(
-    pop: Population,
-    params: SchemeParams,
-    n: int,
-    rng: np.random.Generator,
+    pop: Population, state: SchemeState, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Run the configured scheme and return ``n`` parent indices."""
-    kind = params.scheme
-    if kind is SchemeKind.TRUNCATION:
-        return truncation_select(pop, params.tr, n, rng)
-    if kind is SchemeKind.TOURNAMENT:
-        return tournament_select(pop, params.ts, n, rng)
-    if kind is SchemeKind.SHARING_GENOTYPIC:
-        return fitness_sharing_select(
-            pop, "genotypic", params.sigma, params.alpha, n, rng,
-            params.normalize_distance)
-    if kind is SchemeKind.SHARING_PHENOTYPIC:
-        return fitness_sharing_select(
-            pop, "phenotypic", params.sigma, params.alpha, n, rng,
-            params.normalize_distance)
-    if kind is SchemeKind.LEXICASE:
-        return lexicase_select(pop, n, rng)
-    if kind is SchemeKind.NSGA:
-        return nsga_select(
-            pop, params.sigma, params.alpha, n, rng, params.normalize_distance)
-    if kind is SchemeKind.NOVELTY:
-        return novelty_select(pop, params.novelty, n, rng)
-    if kind is SchemeKind.RANDOM:
-        return random_select(pop, n, rng)
-    raise ConfigurationError(f"unknown selection scheme {kind!r}")
-
-
-def fresh_scheme_state(params: SchemeParams) -> SchemeParams:
-    """Deep copy so one replicate's archive state never leaks into another."""
-    return copy.deepcopy(params)
+    """Run the state's scheme and return ``n`` parent indices."""
+    return SCHEMES[state.scheme].select(pop, state, n, rng)

@@ -48,6 +48,7 @@ from evodiags import (
     DiagnosticKind,
     DiagnosticSpec,
     NoveltyParams,
+    NoveltyState,
     Population,
     SchemeKind,
     apply_valleys,
@@ -381,11 +382,11 @@ def test_criterion_7_selection_distributions():
 
     # Size-2 novelty tournaments on scores {0, 50}: member 1 sits far from
     # the archive point that member 0 duplicates.
-    params = NoveltyParams(k=1, pmin=10**9, save_period=10**9)
-    params.archive.append(np.array([0.0, 0.0]))
+    state = NoveltyState(NoveltyParams(k=1, pmin=10**9, save_period=10**9))
+    state.archive.append(np.array([0.0, 0.0]))
     pheno = np.array([[0.0, 0.0], [30.0, 40.0]])
     pop = Population(pheno.copy(), pheno.copy(), pheno.sum(axis=1))
-    idx = novelty_select(pop, params, 10_000, np.random.default_rng(2))
+    idx = novelty_select(pop, state, 10_000, np.random.default_rng(2))
     nov_rate = float(np.mean(idx == 1))
     ok &= abs(nov_rate - 0.75) <= 0.02
     details.append(f"novelty-2 better-pick rate {nov_rate:.3f}")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evodiags import ConfigurationError, read_records_csv
+from evodiags import ConfigurationError, DiagnosticKind, SchemeKind, read_records_csv
 from evodiags.cli import (
     ExperimentConfig,
     _splitmix64,
@@ -268,10 +269,10 @@ def test_analyze_round_trips_every_row_it_wrote(tmp_path):
 
 def test_describe_lists_catalog(capsys):
     assert describe() == 0
-    text = capsys.readouterr().out
-    for name in ("exploitation-rate", "multipath-valleys", "lexicase", "nsga",
-                 "sharing-genotypic", "novelty", "random"):
-        assert name in text
+    lines = capsys.readouterr().out.splitlines()
+    for kind in [*DiagnosticKind, *SchemeKind]:
+        [line] = [line for line in lines if line.split()[:1] == [kind.value]]
+        assert line.split(None, 1)[1:], f"{kind.value} has no description"
 
 
 def test_main_run_and_analyze_end_to_end(tmp_path):
@@ -297,8 +298,12 @@ def test_main_describe_subcommand(capsys):
 
 
 def test_console_entry_point_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                      env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "evodiags.cli", "describe"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "diagnostics:" in proc.stdout

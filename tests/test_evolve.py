@@ -5,6 +5,7 @@ from evodiags import (
     DiagnosticKind,
     DiagnosticSpec,
     MutationParams,
+    NoveltyParams,
     ReplicateConfig,
     SchemeKind,
     SchemeParams,
@@ -33,7 +34,7 @@ def test_zero_mutation_single_member_is_a_fixed_point():
 def test_truncation_one_with_zero_mutation_copies_the_best():
     cfg = config(scheme=SchemeKind.TRUNCATION, generations=1,
                  mutation=MutationParams(per_gene_rate=0.0))
-    cfg.scheme.tr = 1
+    cfg.scheme = SchemeParams(scheme=SchemeKind.TRUNCATION, tr=1)
     result = run_replicate(cfg)
     # After one generation everyone is a copy of the generation-0 best.
     assert result.records[1].best_total_fitness == pytest.approx(
@@ -84,10 +85,11 @@ def test_different_seeds_diverge():
 
 def test_novelty_state_does_not_leak_between_replicates():
     cfg = config(scheme=SchemeKind.NOVELTY, generations=30, seed=5)
-    cfg.scheme.novelty.pmin = 0.5  # low threshold: archive grows quickly
+    # Low threshold: the archive grows quickly.
+    cfg.scheme = SchemeParams(scheme=SchemeKind.NOVELTY, novelty=NoveltyParams(pmin=0.5))
     first = run_replicate(cfg)
-    assert cfg.scheme.novelty.archive == []  # template untouched
-    second = run_replicate(cfg)
+    assert first.records[-1].archive_size > 0
+    second = run_replicate(cfg)  # would start from the first run's archive if it leaked
     assert first.records == second.records
 
 
@@ -95,13 +97,13 @@ def test_population_bounds_hold_throughout():
     cfg = config(scheme=SchemeKind.TOURNAMENT, generations=1500, pop_size=8,
                  dim=3, mutation=MutationParams(per_gene_rate=0.5, step_stddev=30.0))
     result = run_replicate(cfg)  # internal spot asserts cover bounds
-    assert result.final_record.best_performance <= 100.0
+    assert result.records[-1].best_performance <= 100.0
 
 
 def test_running_best_fitness_non_decreasing_under_strong_truncation():
     cfg = config(scheme=SchemeKind.TRUNCATION, pop_size=32, dim=5,
                  generations=400, seed=9)
-    cfg.scheme.tr = 1
+    cfg.scheme = SchemeParams(scheme=SchemeKind.TRUNCATION, tr=1)
     result = run_replicate(cfg)
     best = [r.best_total_fitness for r in result.records]
     running = np.maximum.accumulate(best)

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from evodiags import (
     ConfigurationError,
     NoveltyParams,
+    NoveltyState,
     Population,
     SchemeKind,
     SchemeParams,
     fitness_sharing_select,
+    fresh_scheme_state,
     lexicase_select,
     nondominated_fronts,
     novelty_scores,
@@ -186,7 +189,7 @@ def test_niche_count_two_members_at_half_sigma():
 def test_sharing_identical_members_select_uniformly_in_expectation():
     pop = make_pop(np.full((4, 2), 10.0))
     rng = np.random.default_rng(9)
-    counts = Counter(fitness_sharing_select(pop, "phenotypic", 0.3, 1.0, 4000, rng))
+    counts = Counter(fitness_sharing_select(pop, pop.phenotypes, 0.3, 1.0, 4000, rng))
     for i in range(4):
         assert counts[i] == pytest.approx(1000, abs=120)
 
@@ -197,7 +200,7 @@ def test_sharing_two_distant_clusters_follow_raw_fitness_ratio():
     pheno = pheno + np.random.default_rng(1).normal(0, 1e-9, size=pheno.shape)
     pop = make_pop(np.abs(pheno))
     rng = np.random.default_rng(10)
-    idx = fitness_sharing_select(pop, "phenotypic", 0.3, 1.0, 30_000, rng)
+    idx = fitness_sharing_select(pop, pop.phenotypes, 0.3, 1.0, 30_000, rng)
     high = np.mean(np.asarray(idx) < 3)
     assert high / (1 - high) == pytest.approx(2.0, rel=0.05)
 
@@ -205,7 +208,7 @@ def test_sharing_two_distant_clusters_follow_raw_fitness_ratio():
 def test_sharing_sigma_zero_reduces_to_raw_stochastic_remainder():
     fitness = np.array([4.0, 2.0, 2.0])
     pop = fitness_pop(fitness)
-    idx = fitness_sharing_select(pop, "phenotypic", 0.0, 1.0, 8, np.random.default_rng(11))
+    idx = fitness_sharing_select(pop, pop.phenotypes, 0.0, 1.0, 8, np.random.default_rng(11))
     assert Counter(idx) == {0: 4, 1: 2, 2: 2}
 
 
@@ -218,9 +221,9 @@ def test_sharing_genotypic_uses_genotypes():
     geno = np.array([[0.0, 0.0], [0.0, 0.0], [100.0, 100.0]])
     pop = make_pop(pheno, genotypes=geno)
     rng = np.random.default_rng(12)
-    assert Counter(fitness_sharing_select(pop, "genotypic", 0.3, 1.0, 4, rng)) == \
+    assert Counter(fitness_sharing_select(pop, pop.genotypes, 0.3, 1.0, 4, rng)) == \
         {0: 1, 1: 1, 2: 2}
-    assert Counter(fitness_sharing_select(pop, "phenotypic", 0.3, 1.0, 3, rng)) == \
+    assert Counter(fitness_sharing_select(pop, pop.phenotypes, 0.3, 1.0, 3, rng)) == \
         {0: 1, 1: 1, 2: 1}
 
 
@@ -491,50 +494,51 @@ def test_novelty_scores_pool_smaller_than_k_uses_all():
 def test_novelty_archive_threshold_and_burst_raise():
     # Six members pairwise far apart: scores exceed pmin, burst > 4 raises it.
     pheno = np.diag(np.full(6, 90.0))
-    params = NoveltyParams(k=2, pmin=10.0, save_period=10**9)
+    state = NoveltyState(NoveltyParams(k=2, pmin=10.0, save_period=10**9))
     pop = make_pop(pheno)
-    novelty_select(pop, params, 6, np.random.default_rng(26))
-    assert len(params.archive) == 6
-    assert params.pmin == pytest.approx(12.5)
-    assert params.generations_since_add == 0
+    novelty_select(pop, state, 6, np.random.default_rng(26))
+    assert len(state.archive) == 6
+    assert state.pmin == pytest.approx(12.5)
+    assert state.generations_since_add == 0
+    assert state.params.pmin == 10.0  # the config keeps the starting pmin
 
 
 def test_novelty_pmin_decays_after_quiet_window():
     pheno = np.full((4, 2), 5.0)  # all identical: scores 0, never archived
-    params = NoveltyParams(pmin=10.0, decay_window=500, save_period=10**9)
+    state = NoveltyState(NoveltyParams(pmin=10.0, save_period=10**9))
     pop = make_pop(pheno)
     rng = np.random.default_rng(27)
     for _ in range(499):
-        novelty_select(pop, params, 4, rng)
-    assert params.pmin == pytest.approx(10.0)
-    novelty_select(pop, params, 4, rng)
-    assert params.pmin == pytest.approx(9.5)
-    assert params.generations_since_add == 0
+        novelty_select(pop, state, 4, rng)
+    assert state.pmin == pytest.approx(10.0)
+    novelty_select(pop, state, 4, rng)
+    assert state.pmin == pytest.approx(9.5)
+    assert state.generations_since_add == 0
     for _ in range(500):
-        novelty_select(pop, params, 4, rng)
-    assert params.pmin == pytest.approx(10.0 * 0.95 * 0.95)
+        novelty_select(pop, state, 4, rng)
+    assert state.pmin == pytest.approx(10.0 * 0.95 * 0.95)
 
 
 def test_novelty_random_save_appends_population_phenotype():
     pheno = np.full((3, 2), 1.0)
-    params = NoveltyParams(pmin=10.0, save_period=1)  # save every generation
+    state = NoveltyState(NoveltyParams(pmin=10.0, save_period=1))  # save every generation
     pop = make_pop(pheno)
-    novelty_select(pop, params, 3, np.random.default_rng(28))
-    assert len(params.archive) == 1
-    assert np.array_equal(params.archive[0], [1.0, 1.0])
+    novelty_select(pop, state, 3, np.random.default_rng(28))
+    assert len(state.archive) == 1
+    assert np.array_equal(state.archive[0], [1.0, 1.0])
     # Random saves do not reset the threshold stagnation counter.
-    assert params.generations_since_add == 1
+    assert state.generations_since_add == 1
 
 
 def test_novelty_tournament_prefers_high_scores():
     pheno = np.array([[0.0, 0.0], [30.0, 40.0]])  # scores 50 each... symmetric
     # Use an archive to break symmetry: member 0 sits on the archive point.
-    params = NoveltyParams(k=1, pmin=10**9, save_period=10**9)
-    params.archive.append(np.array([0.0, 0.0]))
+    state = NoveltyState(NoveltyParams(k=1, pmin=10**9, save_period=10**9))
+    state.archive.append(np.array([0.0, 0.0]))
     pop = make_pop(pheno)
     wins = 0
     trials = 10_000
-    idx = novelty_select(pop, params, trials, np.random.default_rng(29))
+    idx = novelty_select(pop, state, trials, np.random.default_rng(29))
     wins = np.mean(np.asarray(idx) == 1)
     # Scores: member 0 -> 0 (clone of archive point), member 1 -> 50.
     assert wins == pytest.approx(0.75, abs=0.02)
@@ -542,15 +546,17 @@ def test_novelty_tournament_prefers_high_scores():
 
 def test_novelty_archive_append_only_across_generations():
     rng = np.random.default_rng(30)
-    params = NoveltyParams(k=3, pmin=5.0, save_period=50)
+    state = NoveltyState(NoveltyParams(k=3, pmin=5.0, save_period=50))
+    archive = state.archive
     sizes = []
     for _ in range(30):
         pheno = rng.uniform(0, 100, size=(10, 2))
         pop = make_pop(pheno)
-        novelty_select(pop, params, 10, rng)
-        sizes.append(len(params.archive))
+        novelty_select(pop, state, 10, rng)
+        sizes.append(len(state.archive))
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))
-    assert params.pmin > 0
+    assert state.archive is archive  # one list for the whole run
+    assert state.pmin > 0
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +589,8 @@ def test_every_scheme_returns_n_indices_in_range(scheme):
     rng = np.random.default_rng(34)
     pheno = rng.uniform(0, 100, size=(12, 5))
     pop = make_pop(pheno)
-    params = SchemeParams(scheme=scheme, tr=4, ts=3)
-    idx = select(pop, params, 12, np.random.default_rng(35))
+    state = fresh_scheme_state(SchemeParams(scheme=scheme, tr=4, ts=3))
+    idx = select(pop, state, 12, np.random.default_rng(35))
     assert idx.shape == (12,)
     assert idx.min() >= 0 and idx.max() < 12
 
@@ -600,3 +606,23 @@ def test_scheme_params_validation():
         SchemeParams(scheme=SchemeKind.NSGA, alpha=0.0)
     with pytest.raises(ConfigurationError):
         NoveltyParams(k=0)
+
+
+def test_scheme_and_novelty_params_reject_assignment():
+    params = SchemeParams(scheme=SchemeKind.NOVELTY)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.tr = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.novelty.pmin = 1.0
+
+
+def test_fresh_scheme_state_starts_each_run_from_the_params():
+    params = SchemeParams(scheme=SchemeKind.NOVELTY,
+                          novelty=NoveltyParams(k=2, save_period=10**9))
+    first = fresh_scheme_state(params)
+    select(make_pop(np.diag(np.full(6, 90.0))), first, 6, np.random.default_rng(36))
+    assert len(first.novelty.archive) == 6 and first.novelty.pmin == pytest.approx(12.5)
+    second = fresh_scheme_state(params)
+    assert second.scheme is SchemeKind.NOVELTY
+    assert second.novelty.archive == [] and second.novelty.pmin == 10.0
+    assert fresh_scheme_state(SchemeParams(scheme=SchemeKind.NSGA)).novelty is None
