@@ -10,7 +10,7 @@ Run with: python demos/diagnostics_tour.py
 
 import numpy as np
 
-from evodiags import DiagnosticKind, DiagnosticSpec, SawtoothParams, apply_valleys, translate
+from evodiags import PEAKS, DiagnosticKind, apply_valleys, translate
 
 # A dimensionality-10 genotype with a clear structure: an early
 # non-increasing run, a rise at index 3, and the maximum at index 5.
@@ -23,7 +23,7 @@ print(header)
 print("-" * len(header))
 for kind in DiagnosticKind:
     # Translation works on (N, D) blocks; one genotype is a block of one row.
-    traits, activation = translate(genotype[None], DiagnosticSpec(kind))
+    traits, activation = translate(genotype[None], kind)
     shown = "-" if activation is None else str(activation[0])
     row = np.array2string(traits[0], precision=1, floatmode="fixed")
     print(f"{kind.value:36s} {shown:>10s}  {row}")
@@ -31,9 +31,8 @@ for kind in DiagnosticKind:
 # The sawtooth transform behind the four valley variants: values rise
 # untouched to the first peak at 8, then ever-wider valleys descend with
 # slope -1 and snap back at the next peak.
-params = SawtoothParams()
-print("\nsawtooth peaks:", [int(p) for p in params.peaks])
+print("\nsawtooth peaks:", [int(p) for p in PEAKS])
 print(f"{'v':>6s} {'sawtooth(v)':>12s}")
 values = np.array([2.0, 8.0, 8.5, 9.0, 10.0, 14.0, 20.0, 36.0, 50.0, 53.0, 75.0, 99.0, 100.0])
-for v, out in zip(values, apply_valleys(values, params)):
+for v, out in zip(values, apply_valleys(values)):
     print(f"{v:6.1f} {out:12.1f}")

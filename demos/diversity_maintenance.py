@@ -11,7 +11,6 @@ Run with: python demos/diversity_maintenance.py  (about half a minute)
 
 from evodiags import (
     DiagnosticKind,
-    DiagnosticSpec,
     ReplicateConfig,
     SchemeKind,
     SchemeParams,
@@ -26,7 +25,7 @@ print(f"{'scheme':20s} activation-gene coverage every 300 generations")
 for scheme in (SchemeKind.TRUNCATION, SchemeKind.SHARING_PHENOTYPIC,
                SchemeKind.LEXICASE, SchemeKind.NSGA):
     config = ReplicateConfig(
-        diagnostic=DiagnosticSpec(DiagnosticKind.CONTRADICTORY_OBJECTIVES),
+        diagnostic=DiagnosticKind.CONTRADICTORY_OBJECTIVES,
         # Raw sharing distances: crowding penalties act on near-clones,
         # which is what keeps nondominated sorting's niches alive.
         scheme=SchemeParams(scheme=scheme, normalize_distance=False),

@@ -14,7 +14,6 @@ import numpy as np
 
 from evodiags import (
     DiagnosticKind,
-    DiagnosticSpec,
     SchemeKind,
     SchemeParams,
     evaluate_population,
@@ -30,7 +29,7 @@ genes = np.zeros((12, 6))
 genes[0:8, 0] = np.linspace(70.0, 90.0, 8)   # crowded niche, decent fitness
 genes[8:11, 1] = np.linspace(50.0, 95.0, 3)  # smaller niche, wider spread
 genes[11, 2] = 85.0                          # lone specialist
-pop = evaluate_population(genes, DiagnosticSpec(DiagnosticKind.CONTRADICTORY_OBJECTIVES))
+pop = evaluate_population(genes, DiagnosticKind.CONTRADICTORY_OBJECTIVES)
 
 print("member  activation  total fitness")
 for i, (activation, fitness) in enumerate(zip(pop.activation_genes, pop.total_fitness)):

@@ -11,7 +11,6 @@ Run with: python demos/valley_crossing_run.py  (about half a minute)
 
 from evodiags import (
     DiagnosticKind,
-    DiagnosticSpec,
     ReplicateConfig,
     SchemeKind,
     SchemeParams,
@@ -26,7 +25,7 @@ for scheme in (SchemeKind.TRUNCATION, SchemeKind.TOURNAMENT,
                SchemeKind.SHARING_GENOTYPIC, SchemeKind.SHARING_PHENOTYPIC,
                SchemeKind.RANDOM):
     config = ReplicateConfig(
-        diagnostic=DiagnosticSpec(DiagnosticKind.VALLEY_CROSSING),
+        diagnostic=DiagnosticKind.VALLEY_CROSSING,
         scheme=SchemeParams(scheme=scheme),  # normalized sharing distances
         pop_size=64, generations=GENERATIONS, dim=10, seed=29, record_stride=800)
     result = run_replicate(config)

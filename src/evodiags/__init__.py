@@ -8,7 +8,7 @@ replicated, seeded experiments with per-generation metric tracking and
 nonparametric significance testing.
 
 Every function works on whole populations, stored as (N, D) arrays; a
-single genotype is a block of one row, e.g. ``translate(g[None], spec)``.
+single genotype is a block of one row, e.g. ``translate(g[None], kind)``.
 
 Modules:
     core: genome blocks, bounded batch mutation, the frozen population.
@@ -36,9 +36,8 @@ from .core import (
     rebound,
 )
 from .diagnostics import (
+    PEAKS,
     DiagnosticKind,
-    DiagnosticSpec,
-    SawtoothParams,
     apply_valleys,
     evaluate_population,
     translate,

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
 from .core import ConfigurationError, MutationParams
-from .diagnostics import DIAGNOSTICS, DiagnosticKind, DiagnosticSpec, all_diagnostic_names
+from .diagnostics import DIAGNOSTICS, DiagnosticKind, all_diagnostic_names
 from .evolve import ReplicateConfig, run_replicate
 from .metrics import CSV_HEADER, read_records_csv, write_records_csv
 from .selection import SCHEMES, NoveltyParams, SchemeKind, SchemeParams, all_scheme_names
@@ -85,7 +85,7 @@ class ExperimentConfig:
 
     def replicate_config(self, diagnostic: str, scheme: str, rep: int) -> ReplicateConfig:
         return ReplicateConfig(
-            diagnostic=DiagnosticSpec(DiagnosticKind(diagnostic)),
+            diagnostic=DiagnosticKind(diagnostic),
             scheme=SchemeParams(
                 scheme=SchemeKind(scheme),
                 tr=self.tr,
@@ -304,7 +304,6 @@ def analyze(
     result_dir: str,
     metric: str = "best_performance",
     out_path: Optional[str] = None,
-    alpha: float = SIGNIFICANCE_LEVEL,
 ) -> int:
     """Compare schemes per diagnostic on an end-of-run metric.
 
@@ -347,7 +346,7 @@ def analyze(
         h_stat, omnibus_p = kruskal_wallis([per_scheme[s] for s in schemes])
         print(f"{diagnostic}: kruskal-wallis H={h_stat:.4f} p={omnibus_p:.4g} "
               f"on {metric}")
-        if omnibus_p >= alpha:
+        if omnibus_p >= SIGNIFICANCE_LEVEL:
             continue
         pairs = list(combinations(schemes, 2))
         raw_ps = []
@@ -365,7 +364,7 @@ def analyze(
                 repr(float(u_stat)),
                 repr(float(p_raw)),
                 repr(float(p_adj)),
-                str(p_adj < alpha).lower(),
+                str(p_adj < SIGNIFICANCE_LEVEL).lower(),
             ])
 
     destination = Path(out_path) if out_path else directory / "comparisons.csv"

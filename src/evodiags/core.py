@@ -13,14 +13,12 @@ consumes no randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 LOWER_BOUND: float = 0.0
 UPPER_BOUND: float = 100.0
-DEFAULT_DIM: int = 100
-DEFAULT_POP_SIZE: int = 512
 
 
 class ConfigurationError(ValueError):
@@ -33,13 +31,14 @@ class MutationParams:
 
     Each gene independently receives, with probability ``per_gene_rate``,
     an additive draw from Normal(0, step_stddev**2). Out-of-range results
-    are reflected back across the violated bound.
+    are reflected back across the violated bound, ``lo`` or ``hi``; the
+    bounds are the gene range and are not settable.
     """
 
     per_gene_rate: float = 0.007
     step_stddev: float = 1.0
-    lo: float = LOWER_BOUND
-    hi: float = UPPER_BOUND
+    lo: ClassVar[float] = LOWER_BOUND
+    hi: ClassVar[float] = UPPER_BOUND
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.per_gene_rate <= 1.0:
@@ -48,9 +47,6 @@ class MutationParams:
         if self.step_stddev <= 0.0:
             raise ConfigurationError(
                 f"step_stddev must be positive, got {self.step_stddev}")
-        if self.hi <= self.lo:
-            raise ConfigurationError(
-                f"mutation bounds require hi > lo, got [{self.lo}, {self.hi}]")
 
 
 class Population:

@@ -22,13 +22,12 @@ All translations are pure and operate row-wise on (N, D) blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import Population, UPPER_BOUND
+from .core import Population
 
 
 class DiagnosticKind(str, Enum):
@@ -44,64 +43,12 @@ class DiagnosticKind(str, Enum):
     MULTIPATH_VALLEYS = "multipath-valleys"
 
 
-@dataclass(frozen=True)
-class SawtoothParams:
-    """Peak schedule for the valley transform.
-
-    Peak k sits at ``v_initial + k (k + 1) / 2``, so the k-th valley is k
-    units wide; with the defaults that is exactly
-    8, 9, 11, 14, 18, 23, 29, 36, 44, 53, 63, 74, 86, 99.
-    """
-
-    v_initial: float = 8.0
-    upper: float = UPPER_BOUND
-    peaks: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.v_initial <= 0.0 or self.v_initial > self.upper:
-            raise ValueError(
-                f"v_initial must lie in (0, upper], got {self.v_initial}")
-        peaks = []
-        k = 0
-        while True:
-            peak = self.v_initial + k * (k + 1) / 2.0
-            if peak > self.upper:
-                break
-            peaks.append(peak)
-            k += 1
-        arr = np.asarray(peaks, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "peaks", arr)
-
-
-_DEFAULT_SAWTOOTH = SawtoothParams()
-assert list(_DEFAULT_SAWTOOTH.peaks) == [
-    8.0, 9.0, 11.0, 14.0, 18.0, 23.0, 29.0, 36.0, 44.0, 53.0, 63.0, 74.0, 86.0, 99.0]
-
-
-@dataclass(frozen=True)
-class DiagnosticSpec:
-    """Which translation to apply, plus sawtooth parameters for valley kinds."""
-
-    kind: DiagnosticKind
-    sawtooth: Optional[SawtoothParams] = None
-
-    def __post_init__(self) -> None:
-        kind = DiagnosticKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        if DIAGNOSTICS[kind].valleys:
-            if self.sawtooth is None:
-                object.__setattr__(self, "sawtooth", _DEFAULT_SAWTOOTH)
-        elif self.sawtooth is not None:
-            raise ValueError(f"{kind.value} does not take sawtooth parameters")
-
-    @property
-    def is_valley(self) -> bool:
-        return DIAGNOSTICS[self.kind].valleys
-
-    @property
-    def has_activation(self) -> bool:
-        return DIAGNOSTICS[self.kind].activation
+# Peak k of the sawtooth sits at VALLEY_START + k (k + 1) / 2, so the k-th
+# valley is k units wide: 8, 9, 11, 14, 18, 23, 29, 36, 44, 53, 63, 74,
+# 86, 99. The next peak, 113, would lie past the gene cap of 100.
+VALLEY_START: float = 8.0
+PEAKS = VALLEY_START + np.array([k * (k + 1) / 2.0 for k in range(14)])
+PEAKS.flags.writeable = False
 
 
 def all_diagnostic_names() -> list[str]:
@@ -168,23 +115,22 @@ def _multipath_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def apply_valleys(traits: np.ndarray, params: SawtoothParams = _DEFAULT_SAWTOOTH) -> np.ndarray:
+def apply_valleys(traits: np.ndarray) -> np.ndarray:
     """Map traits through the peaked valley profile, element-wise.
 
-    Values at or below ``v_initial`` pass through unchanged, so zero
+    Values at or below ``VALLEY_START`` pass through unchanged, so zero
     (inactive) traits stay zero; every peak is a fixed point; between
     peaks the output descends from the last peak with slope -1 and snaps
     back to the input value at the next peak. Past the final peak the
     last descent simply continues to the domain bound. Traits come from
-    in-range genes, so they lie in [0, upper].
+    in-range genes, so they lie in [0, 100].
     """
     v = np.asarray(traits, dtype=np.float64)
-    peaks = params.peaks
-    # The last peak at or below v. The first peak is v_initial, so every
-    # v without one lies in the identity region v <= v_initial, where the
-    # wrapped index -1 picks an anchor that is never used.
-    anchor = peaks[np.searchsorted(peaks, v, side="right") - 1]
-    return np.where(v <= params.v_initial, v, anchor - (v - anchor))
+    # The last peak at or below v. The first peak is VALLEY_START, so every
+    # v without one lies in the identity region v <= VALLEY_START, where
+    # the wrapped index -1 picks an anchor that is never used.
+    anchor = PEAKS[np.searchsorted(PEAKS, v, side="right") - 1]
+    return np.where(v <= VALLEY_START, v, anchor - (v - anchor))
 
 
 # ---------------------------------------------------------------------------
@@ -230,29 +176,29 @@ DIAGNOSTICS = {
 }
 
 
-def translate(genotypes: np.ndarray, spec: DiagnosticSpec) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Translate an (N, D) genotype block into traits per ``spec``.
+def translate(genotypes: np.ndarray, kind: DiagnosticKind) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Translate an (N, D) genotype block into traits under ``kind``.
 
     Returns the (N, D) trait block and, for activation diagnostics, the
     (N,) activation indices (None otherwise). Valley variants run the base
     translation and then the sawtooth; activation genes are determined
     from the raw genes, before the sawtooth is applied.
     """
-    traits, activation = DIAGNOSTICS[spec.kind].rows(
-        np.asarray(genotypes, dtype=np.float64))
-    if spec.is_valley:
-        traits = apply_valleys(traits, spec.sawtooth)
+    diagnostic = DIAGNOSTICS[kind]
+    traits, activation = diagnostic.rows(np.asarray(genotypes, dtype=np.float64))
+    if diagnostic.valleys:
+        traits = apply_valleys(traits)
     return traits, activation
 
 
-def evaluate_population(genotypes: np.ndarray, spec: DiagnosticSpec) -> Population:
+def evaluate_population(genotypes: np.ndarray, kind: DiagnosticKind) -> Population:
     """Evaluate an (N, D) genotype block into a frozen population.
 
     The population takes ownership of ``genotypes`` and freezes it (see
     :class:`~evodiags.core.Population`); pass a copy to keep a writeable
     block.
     """
-    traits, activation = translate(genotypes, spec)
+    traits, activation = translate(genotypes, kind)
     return Population(
         genotypes=genotypes,
         phenotypes=traits,

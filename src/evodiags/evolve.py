@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .core import ConfigurationError, MutationParams, mutate_batch, random_genotypes
-from .diagnostics import DiagnosticSpec, evaluate_population
-from .metrics import GenerationRecord, has_satisfactory_solution, snapshot
+from .diagnostics import DiagnosticKind, evaluate_population
+from .metrics import GenerationRecord, best_index, has_satisfactory_solution, snapshot
 from .selection import SchemeParams, fresh_scheme_state, select
 
 BOUNDS_CHECK_STRIDE = 1000
@@ -27,7 +27,7 @@ BOUNDS_CHECK_STRIDE = 1000
 class ReplicateConfig:
     """Everything one replicate needs to run deterministically."""
 
-    diagnostic: DiagnosticSpec
+    diagnostic: DiagnosticKind
     scheme: SchemeParams
     pop_size: int = 512
     generations: int = 50_000
@@ -40,6 +40,8 @@ class ReplicateConfig:
     include_archive: bool = False
 
     def __post_init__(self) -> None:
+        # An unknown name raises here, not mid-run.
+        self.diagnostic = DiagnosticKind(self.diagnostic)
         if self.pop_size < 1:
             raise ConfigurationError(f"pop_size must be >= 1, got {self.pop_size}")
         if self.generations < 1:
@@ -99,7 +101,7 @@ def run_replicate(config: ReplicateConfig) -> ReplicateResult:
             assert pop.genotypes.min() >= config.mutation.lo
             assert pop.genotypes.max() <= config.mutation.hi
 
-    best = int(np.argmax(pop.total_fitness))
+    best = best_index(pop)
     return ReplicateResult(
         records=records,
         satisfactory_generation=satisfactory_generation,

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Population, UPPER_BOUND
-from .diagnostics import DiagnosticSpec, SawtoothParams
+from .diagnostics import DIAGNOSTICS, PEAKS, DiagnosticKind
 
 SATISFACTORY_THRESHOLD: float = 0.99 * UPPER_BOUND
 
@@ -80,14 +80,14 @@ def activation_gene_coverage(pop: Population) -> int:
     return int(np.unique(pop.activation_genes).size)
 
 
-def largest_valley_reached(genes: np.ndarray, params: SawtoothParams) -> int:
+def largest_valley_reached(genes: np.ndarray) -> int:
     """Index of the last peak attained by any gene; -1 below the first peak.
 
     Peak index k equals the number of fully crossed valleys, so a max
     gene of 20.0 (peaks 8, 9, 11, 14, 18 attained) reports 4.
     """
     top = float(np.max(np.asarray(genes, dtype=np.float64)))
-    return int(np.searchsorted(params.peaks, top, side="right")) - 1
+    return int(np.searchsorted(PEAKS, top, side="right")) - 1
 
 
 def best_index(pop: Population) -> int:
@@ -96,23 +96,21 @@ def best_index(pop: Population) -> int:
 
 
 def _phenotype_activations(rows: np.ndarray) -> np.ndarray:
-    """Activation genes recovered from expressed traits alone.
+    """Activation genes recovered from expressed traits alone, one per
+    row that expresses any trait.
 
     Every activation diagnostic expresses a contiguous region starting at
     the activation gene and nowhere before it, so the first nonzero trait
     index is the activation gene; all-zero phenotypes carry none.
     """
     nonzero = rows > 0.0
-    has_active = nonzero.any(axis=1)
-    if not has_active.any():
-        return np.empty(0, dtype=np.int64)
-    return np.unique(nonzero[has_active].argmax(axis=1))
+    return nonzero[nonzero.any(axis=1)].argmax(axis=1)
 
 
 def snapshot(
     pop: Population,
     generation: int,
-    spec: DiagnosticSpec,
+    kind: DiagnosticKind,
     archive: Optional[Sequence[np.ndarray]] = None,
     include_archive: bool = False,
 ) -> GenerationRecord:
@@ -132,20 +130,20 @@ def snapshot(
         archive_rows = np.asarray(archive, dtype=np.float64)
         best_total = max(best_total, float(archive_rows.sum(axis=1).max()))
 
-    record_coverage = spec.has_activation
+    diagnostic = DIAGNOSTICS[kind]
     sat_cov = None
     act_cov = None
-    if record_coverage:
+    if diagnostic.activation:
         sat_cov = satisfactory_trait_coverage(pop, archive_rows)
-        act_cov = activation_gene_coverage(pop)
-        if archive_rows is not None:
-            covered = set(np.unique(pop.activation_genes).tolist())
-            covered.update(_phenotype_activations(archive_rows).tolist())
-            act_cov = len(covered)
+        if archive_rows is None:
+            act_cov = activation_gene_coverage(pop)
+        else:
+            act_cov = int(np.union1d(
+                pop.activation_genes, _phenotype_activations(archive_rows)).size)
 
     valley = None
-    if spec.is_valley:
-        valley = largest_valley_reached(pop.genotypes[best], spec.sawtooth)
+    if diagnostic.valleys:
+        valley = largest_valley_reached(pop.genotypes[best])
 
     return GenerationRecord(
         generation=generation,

@@ -46,7 +46,6 @@ import pytest
 
 from evodiags import (
     DiagnosticKind,
-    DiagnosticSpec,
     NoveltyParams,
     NoveltyState,
     Population,
@@ -73,6 +72,8 @@ from oracles import (
     oracle_ordered_exploitation,
     oracle_sawtooth,
 )
+
+pytestmark = pytest.mark.acceptance
 
 POP_SIZE = 128
 DIM = 20
@@ -343,7 +344,7 @@ def test_criterion_6_diagnostic_oracles():
     }
     for kind, oracle in oracles.items():
         # The whole enumeration as one block, compared row by row.
-        traits, act = translate(np.array(combos), DiagnosticSpec(kind))
+        traits, act = translate(np.array(combos), kind)
         rows = traits.tolist()
         if act is not None:
             rows = list(zip(rows, act.tolist()))

@@ -5,13 +5,12 @@ import pytest
 
 from evodiags import (
     DiagnosticKind,
-    DiagnosticSpec,
     Population,
-    SawtoothParams,
     apply_valleys,
     evaluate_population,
     translate,
 )
+from evodiags.diagnostics import DIAGNOSTICS, PEAKS, VALLEY_START
 
 from oracles import (
     SAWTOOTH_PEAKS,
@@ -32,14 +31,12 @@ MULTI = DiagnosticKind.MULTIPATH_EXPLORATION
 
 def translate_one(genotype, kind):
     """Translate one genotype as a one-row block: (traits, activation)."""
-    traits, activation = translate(np.asarray(genotype, dtype=np.float64)[None],
-                                   DiagnosticSpec(kind))
+    traits, activation = translate(np.asarray(genotype, dtype=np.float64)[None], kind)
     return traits[0], None if activation is None else int(activation[0])
 
 
 def evaluate_one(genotype, kind):
-    return evaluate_population(np.asarray(genotype, dtype=np.float64)[None],
-                               DiagnosticSpec(kind))
+    return evaluate_population(np.asarray(genotype, dtype=np.float64)[None], kind)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +120,7 @@ def test_base_translations_match_brute_force_on_enumerated_genotypes(dim):
         DiagnosticKind.ORDERED_EXPLOITATION: oracle_ordered_exploitation,
     }
     for kind, oracle in plain.items():
-        traits, activation = translate(block, DiagnosticSpec(kind))
+        traits, activation = translate(block, kind)
         assert activation is None
         assert traits.tolist() == [oracle(combo) for combo in combos]
     with_activation = {
@@ -131,7 +128,7 @@ def test_base_translations_match_brute_force_on_enumerated_genotypes(dim):
         DiagnosticKind.MULTIPATH_EXPLORATION: oracle_multipath_exploration,
     }
     for kind, oracle in with_activation.items():
-        traits, activation = translate(block, DiagnosticSpec(kind))
+        traits, activation = translate(block, kind)
         got = list(zip(traits.tolist(), activation.tolist()))
         assert got == [oracle(combo) for combo in combos]
 
@@ -143,7 +140,7 @@ def test_traits_equal_gene_or_zero_for_base_diagnostics():
                  DiagnosticKind.ORDERED_EXPLOITATION,
                  DiagnosticKind.CONTRADICTORY_OBJECTIVES,
                  DiagnosticKind.MULTIPATH_EXPLORATION):
-        pop = evaluate_population(genes, DiagnosticSpec(kind))
+        pop = evaluate_population(genes, kind)
         matches = (pop.phenotypes == genes) | (pop.phenotypes == 0.0)
         assert matches.all()
 
@@ -153,7 +150,7 @@ def test_active_regions_are_contiguous_and_nonincreasing():
     genes = rng.uniform(0, 100, size=(200, 12))
     for kind in (DiagnosticKind.ORDERED_EXPLOITATION,
                  DiagnosticKind.MULTIPATH_EXPLORATION):
-        pop = evaluate_population(genes, DiagnosticSpec(kind))
+        pop = evaluate_population(genes, kind)
         for row, gene_row in zip(pop.phenotypes, genes):
             active = np.flatnonzero(row != 0.0)
             if active.size == 0:
@@ -169,7 +166,8 @@ def test_active_regions_are_contiguous_and_nonincreasing():
 
 
 def test_sawtooth_default_peaks_match_closed_form():
-    assert list(SawtoothParams().peaks) == SAWTOOTH_PEAKS
+    assert list(PEAKS) == SAWTOOTH_PEAKS
+    assert not PEAKS.flags.writeable
 
 
 def test_sawtooth_peaks_are_fixed_points():
@@ -208,13 +206,12 @@ def test_sawtooth_never_exceeds_input_and_equality_set_is_exact():
 
 
 def test_sawtooth_slopes_are_unit_magnitude():
-    params = SawtoothParams()
     step = 0.001
     grid = np.arange(0.0, 100.0, step)
-    out = apply_valleys(grid, params)
+    out = apply_valleys(grid)
     slopes = np.diff(out) / step
     # Exclude intervals that straddle a kink (the initial peak or any peak).
-    breaks = np.concatenate([[params.v_initial], params.peaks])
+    breaks = np.concatenate([[VALLEY_START], PEAKS])
     straddles = np.zeros(len(grid) - 1, dtype=bool)
     for b in breaks:
         straddles |= (grid[:-1] < b) & (grid[1:] >= b)
@@ -239,19 +236,12 @@ def test_apply_valleys_transforms_active_traits():
 
 
 # ---------------------------------------------------------------------------
-# Spec construction and dispatch
+# Catalog and dispatch
 # ---------------------------------------------------------------------------
 
 
-def test_valley_specs_get_default_sawtooth_and_others_reject_it():
-    spec = DiagnosticSpec(DiagnosticKind.VALLEY_CROSSING)
-    assert spec.sawtooth is not None
-    with pytest.raises(ValueError):
-        DiagnosticSpec(DiagnosticKind.EXPLOITATION_RATE, sawtooth=SawtoothParams())
-
-
 def test_activation_flag_per_kind():
-    flags = {kind: DiagnosticSpec(kind).has_activation for kind in DiagnosticKind}
+    flags = {kind: DIAGNOSTICS[kind].activation for kind in DiagnosticKind}
     assert flags == {
         DiagnosticKind.EXPLOITATION_RATE: False,
         DiagnosticKind.ORDERED_EXPLOITATION: False,
@@ -298,8 +288,8 @@ def test_valley_variants_match_base_then_sawtooth_composition():
         (DiagnosticKind.MULTIPATH_VALLEYS, DiagnosticKind.MULTIPATH_EXPLORATION),
     ]
     for valley_kind, base_kind in pairs:
-        valley_pop = evaluate_population(genes, DiagnosticSpec(valley_kind))
-        base_pop = evaluate_population(genes, DiagnosticSpec(base_kind))
+        valley_pop = evaluate_population(genes, valley_kind)
+        base_pop = evaluate_population(genes, base_kind)
         assert np.array_equal(valley_pop.phenotypes, apply_valleys(base_pop.phenotypes))
         if valley_pop.activation_genes is not None:
             assert np.array_equal(valley_pop.activation_genes, base_pop.activation_genes)
@@ -318,7 +308,7 @@ def test_evaluate_is_pure_and_bit_stable():
 
 def test_population_arrays_are_frozen():
     genes = np.random.default_rng(31).uniform(0, 100, size=(4, 3))
-    pop = evaluate_population(genes, DiagnosticSpec(DiagnosticKind.EXPLOITATION_RATE))
+    pop = evaluate_population(genes, DiagnosticKind.EXPLOITATION_RATE)
     with pytest.raises(ValueError):
         pop.phenotypes[0, 0] = 1.0
     with pytest.raises(ValueError):

@@ -3,7 +3,6 @@ import pytest
 
 from evodiags import (
     DiagnosticKind,
-    DiagnosticSpec,
     MutationParams,
     NoveltyParams,
     ReplicateConfig,
@@ -16,7 +15,7 @@ from evodiags.core import ConfigurationError
 
 def config(diag=DiagnosticKind.EXPLOITATION_RATE, scheme=SchemeKind.RANDOM, **kw):
     defaults = dict(
-        diagnostic=DiagnosticSpec(diag),
+        diagnostic=diag,
         scheme=SchemeParams(scheme=scheme),
         pop_size=16, generations=20, dim=5, seed=1, record_stride=1)
     defaults.update(kw)
@@ -117,7 +116,7 @@ def test_satisfactory_generation_set_on_easy_exploitation_run():
     # Truncation on the plain exploitation gradient at toy scale; pilots
     # put first satisfaction near generation 2500 for every seed tried.
     cfg = ReplicateConfig(
-        diagnostic=DiagnosticSpec(DiagnosticKind.EXPLOITATION_RATE),
+        diagnostic=DiagnosticKind.EXPLOITATION_RATE,
         scheme=SchemeParams(scheme=SchemeKind.TRUNCATION),
         pop_size=32, generations=3000, dim=10, seed=3, record_stride=300)
     result = run_replicate(cfg)
@@ -128,6 +127,12 @@ def test_satisfactory_generation_set_on_easy_exploitation_run():
 def test_satisfactory_generation_none_when_unreachable():
     result = run_replicate(config(generations=10))
     assert result.satisfactory_generation is None
+
+
+def test_replicate_config_coerces_the_diagnostic_name():
+    assert config(diag="valley-crossing").diagnostic is DiagnosticKind.VALLEY_CROSSING
+    with pytest.raises(ValueError):
+        config(diag="no-such-diagnostic")
 
 
 def test_replicate_config_validation():

@@ -3,9 +3,7 @@ import pytest
 
 from evodiags import (
     DiagnosticKind,
-    DiagnosticSpec,
     GenerationRecord,
-    SawtoothParams,
     activation_gene_coverage,
     evaluate_population,
     has_satisfactory_solution,
@@ -18,17 +16,16 @@ from evodiags import (
 from evodiags.metrics import NO_VALLEY, best_index
 
 
-def pop_from_phenotypes(pheno, spec_kind=DiagnosticKind.EXPLOITATION_RATE):
+def pop_from_phenotypes(pheno, kind=DiagnosticKind.EXPLOITATION_RATE):
     # Exploitation rate copies genes to traits, so the phenotype doubles
     # as the genotype for metric-only tests.
-    return evaluate_population(np.asarray(pheno, dtype=np.float64),
-                               DiagnosticSpec(spec_kind))
+    return evaluate_population(np.asarray(pheno, dtype=np.float64), kind)
 
 
 def performance(traits):
     """Best performance recorded for a one-member population."""
-    spec = DiagnosticSpec(DiagnosticKind.EXPLOITATION_RATE)
-    return snapshot(pop_from_phenotypes(np.asarray(traits)[None]), 0, spec).best_performance
+    return snapshot(pop_from_phenotypes(np.asarray(traits)[None]), 0,
+                    DiagnosticKind.EXPLOITATION_RATE).best_performance
 
 
 def test_performance_boundaries():
@@ -77,7 +74,7 @@ def test_activation_gene_coverage_counts_distinct():
         [1.0, 9.0, 1.0],
         [1.0, 1.0, 9.0],
     ])
-    pop = evaluate_population(genes, DiagnosticSpec(DiagnosticKind.CONTRADICTORY_OBJECTIVES))
+    pop = evaluate_population(genes, DiagnosticKind.CONTRADICTORY_OBJECTIVES)
     assert activation_gene_coverage(pop) == 3
 
 
@@ -88,18 +85,16 @@ def test_activation_gene_coverage_rejects_non_activation_population():
 
 
 def test_largest_valley_reached_values():
-    params = SawtoothParams()
-    assert largest_valley_reached(np.array([1.0, 7.9]), params) == NO_VALLEY
-    assert largest_valley_reached(np.array([99.0, 1.0]), params) == 13
-    assert largest_valley_reached(np.array([20.0, 3.0]), params) == 4
-    assert largest_valley_reached(np.array([8.0]), params) == 0
+    assert largest_valley_reached(np.array([1.0, 7.9])) == NO_VALLEY
+    assert largest_valley_reached(np.array([99.0, 1.0])) == 13
+    assert largest_valley_reached(np.array([20.0, 3.0])) == 4
+    assert largest_valley_reached(np.array([8.0])) == 0
 
 
 def test_largest_valley_monotone_in_max_gene():
-    params = SawtoothParams()
     rng = np.random.default_rng(1)
     values = np.sort(rng.uniform(0, 100, size=200))
-    reached = [largest_valley_reached(np.array([v]), params) for v in values]
+    reached = [largest_valley_reached(np.array([v])) for v in values]
     assert all(b >= a for a, b in zip(reached, reached[1:]))
 
 
@@ -116,8 +111,7 @@ def test_has_satisfactory_solution_requires_all_traits():
 
 def test_snapshot_fields_for_plain_diagnostic():
     pheno = np.array([[10.0, 20.0], [30.0, 40.0]])
-    rec = snapshot(pop_from_phenotypes(pheno), 7,
-                   DiagnosticSpec(DiagnosticKind.EXPLOITATION_RATE))
+    rec = snapshot(pop_from_phenotypes(pheno), 7, DiagnosticKind.EXPLOITATION_RATE)
     assert rec.generation == 7
     assert rec.best_total_fitness == pytest.approx(70.0)
     assert rec.best_performance == pytest.approx(35.0)
@@ -130,37 +124,36 @@ def test_snapshot_fields_for_plain_diagnostic():
 def test_snapshot_best_performance_times_dim_equals_total():
     rng = np.random.default_rng(2)
     pheno = rng.uniform(0, 100, size=(20, 7))
-    rec = snapshot(pop_from_phenotypes(pheno), 0,
-                   DiagnosticSpec(DiagnosticKind.EXPLOITATION_RATE))
+    rec = snapshot(pop_from_phenotypes(pheno), 0, DiagnosticKind.EXPLOITATION_RATE)
     assert rec.best_performance * 7 == pytest.approx(rec.best_total_fitness, abs=1e-9)
 
 
 def test_snapshot_activation_diagnostic_records_coverages():
     genes = np.array([[9.0, 1.0], [1.0, 9.0], [1.0, 99.5]])
-    pop = evaluate_population(genes, DiagnosticSpec(DiagnosticKind.CONTRADICTORY_OBJECTIVES))
-    rec = snapshot(pop, 3, DiagnosticSpec(DiagnosticKind.CONTRADICTORY_OBJECTIVES))
+    pop = evaluate_population(genes, DiagnosticKind.CONTRADICTORY_OBJECTIVES)
+    rec = snapshot(pop, 3, DiagnosticKind.CONTRADICTORY_OBJECTIVES)
     assert rec.activation_gene_coverage == 2
     assert rec.satisfactory_trait_coverage == 1
 
 
 def test_snapshot_valley_diagnostic_records_valley_of_best():
-    spec = DiagnosticSpec(DiagnosticKind.VALLEY_CROSSING)
+    kind = DiagnosticKind.VALLEY_CROSSING
     genes = np.array([[20.0, 3.0], [5.0, 5.0]])
-    pop = evaluate_population(genes, spec)
-    rec = snapshot(pop, 1, spec)
+    pop = evaluate_population(genes, kind)
+    rec = snapshot(pop, 1, kind)
     assert rec.largest_valley_reached == 4
 
 
 def test_snapshot_archive_competes_only_when_included():
-    spec = DiagnosticSpec(DiagnosticKind.CONTRADICTORY_OBJECTIVES)
+    kind = DiagnosticKind.CONTRADICTORY_OBJECTIVES
     genes = np.array([[50.0, 1.0], [1.0, 40.0]])
-    pop = evaluate_population(genes, spec)
+    pop = evaluate_population(genes, kind)
     archive = [np.array([0.0, 99.5])]
-    rec_off = snapshot(pop, 0, spec, archive=archive, include_archive=False)
+    rec_off = snapshot(pop, 0, kind, archive=archive, include_archive=False)
     assert rec_off.best_total_fitness == pytest.approx(50.0)
     assert rec_off.satisfactory_trait_coverage == 0
     assert rec_off.archive_size == 1
-    rec_on = snapshot(pop, 0, spec, archive=archive, include_archive=True)
+    rec_on = snapshot(pop, 0, kind, archive=archive, include_archive=True)
     assert rec_on.best_total_fitness == pytest.approx(99.5)
     assert rec_on.best_performance * 2 == pytest.approx(rec_on.best_total_fitness)
     assert rec_on.satisfactory_trait_coverage == 1
@@ -170,8 +163,8 @@ def test_satisfied_traits_subset_of_activation_genes_on_contradictory():
     rng = np.random.default_rng(3)
     genes = rng.uniform(0, 100, size=(64, 6))
     genes[rng.integers(0, 64, 10), rng.integers(0, 6, 10)] = 99.9
-    spec = DiagnosticSpec(DiagnosticKind.CONTRADICTORY_OBJECTIVES)
-    pop = evaluate_population(genes, spec)
+    kind = DiagnosticKind.CONTRADICTORY_OBJECTIVES
+    pop = evaluate_population(genes, kind)
     satisfied = set(np.flatnonzero((pop.phenotypes >= 99.0).any(axis=0)))
     activations = set(pop.activation_genes.tolist())
     assert satisfied <= activations
