@@ -17,9 +17,10 @@ Modules:
     selection: truncation, tournament, fitness sharing (genotypic and
         phenotypic), lexicase, nondominated sorting, novelty search, and
         the random control, one ``SCHEMES`` row each behind ``select``.
-        Frozen ``SchemeParams`` configure a scheme; ``fresh_scheme_state``
+        One frozen ``SchemeParams`` configures every scheme, novelty's
+        ``novelty_k`` and ``pmin`` included; ``fresh_scheme_state``
         starts the run state that ``select`` updates (novelty's archive
-        and ``pmin``).
+        and current ``pmin``).
     evolve: the per-replicate generational loop.
     metrics: generation records and their CSV format.
     stats: Kruskal-Wallis, Wilcoxon rank-sum, Bonferroni correction.
@@ -54,7 +55,6 @@ from .metrics import (
     write_records_csv,
 )
 from .selection import (
-    NoveltyParams,
     NoveltyState,
     SchemeKind,
     SchemeParams,

@@ -33,7 +33,7 @@ from .core import ConfigurationError, MutationParams
 from .diagnostics import DIAGNOSTICS, DiagnosticKind, all_diagnostic_names
 from .evolve import ReplicateConfig, run_replicate
 from .metrics import CSV_HEADER, read_records_csv, write_records_csv
-from .selection import SCHEMES, NoveltyParams, SchemeKind, SchemeParams, all_scheme_names
+from .selection import SCHEMES, SchemeKind, SchemeParams, all_scheme_names
 from .stats import SIGNIFICANCE_LEVEL, bonferroni, kruskal_wallis, wilcoxon_rank_sum
 
 EXIT_OK = 0
@@ -93,7 +93,8 @@ class ExperimentConfig:
                 sigma=self.sigma,
                 alpha=self.alpha,
                 normalize_distance=self.normalize_sharing,
-                novelty=NoveltyParams(k=self.novelty_k, pmin=self.pmin),
+                novelty_k=self.novelty_k,
+                pmin=self.pmin,
             ),
             pop_size=self.pop_size,
             generations=self.generations,

@@ -134,18 +134,18 @@ def _check_init_range(dim: int, lo: float, hi: float) -> None:
             f"[{LOWER_BOUND}, {UPPER_BOUND}]")
 
 
-def rebound(values: np.ndarray, lo: float = LOWER_BOUND, hi: float = UPPER_BOUND) -> np.ndarray:
-    """Reflect out-of-range values back across the violated bound.
+def rebound(values: np.ndarray) -> np.ndarray:
+    """Reflect values outside the gene range back across the violated
+    bound.
 
-    A value of -0.7 becomes 0.7 and 100.7 becomes 99.3 under default
-    bounds. Unit-scale steps cannot overshoot twice from inside the
-    range, so a single reflection suffices; the final clip only guards
-    against pathological inputs.
+    A value of -0.7 becomes 0.7 and 100.7 becomes 99.3. Unit-scale steps
+    cannot overshoot twice from inside the range, so a single reflection
+    suffices; the final clip only guards against pathological inputs.
     """
     v = np.asarray(values, dtype=np.float64)
-    v = np.where(v < lo, lo + (lo - v), v)
-    v = np.where(v > hi, hi - (v - hi), v)
-    return np.clip(v, lo, hi)
+    v = np.where(v < LOWER_BOUND, LOWER_BOUND + (LOWER_BOUND - v), v)
+    v = np.where(v > UPPER_BOUND, UPPER_BOUND - (v - UPPER_BOUND), v)
+    return np.clip(v, LOWER_BOUND, UPPER_BOUND)
 
 
 def mutate_batch(
@@ -166,5 +166,5 @@ def mutate_batch(
     n_hits = int(mask.sum())
     if n_hits:
         steps = rng.normal(0.0, params.step_stddev, size=n_hits)
-        genotypes[mask] = rebound(genotypes[mask] + steps, params.lo, params.hi)
+        genotypes[mask] = rebound(genotypes[mask] + steps)
     return genotypes

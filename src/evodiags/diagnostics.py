@@ -65,18 +65,23 @@ def _exploitation_rate_rows(rows: np.ndarray) -> tuple[np.ndarray, None]:
     return rows.copy(), None
 
 
+def _expressed_run(rows: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Express each row's non-increasing run that opens at gene
+    ``start[i]`` and closes before the first later gene that rises above
+    its predecessor; every other trait is 0."""
+    cols = np.arange(rows.shape[1])
+    rising = np.zeros_like(rows, dtype=bool)
+    rising[:, 1:] = rows[:, 1:] > rows[:, :-1]
+    rise_after_start = rising & (cols > start[:, np.newaxis])
+    has_end = rise_after_start.any(axis=1)
+    region_end = np.where(has_end, rise_after_start.argmax(axis=1), rows.shape[1])
+    active = (cols >= start[:, np.newaxis]) & (cols < region_end[:, np.newaxis])
+    return np.where(active, rows, 0.0)
+
+
 def _ordered_exploitation_rows(rows: np.ndarray) -> tuple[np.ndarray, None]:
     """Express each row's leading non-increasing run; later traits are 0."""
-    n, dim = rows.shape
-    traits = rows.copy()
-    if dim > 1:
-        rising = rows[:, 1:] > rows[:, :-1]
-        # Active length = position of the first rise + 1 (whole genome if none).
-        has_rise = rising.any(axis=1)
-        first_rise = rising.argmax(axis=1)
-        active_len = np.where(has_rise, first_rise + 1, dim)
-        traits[np.arange(dim) >= active_len[:, np.newaxis]] = 0.0
-    return traits, None
+    return _expressed_run(rows, np.zeros(rows.shape[0], dtype=np.intp)), None
 
 
 def _contradictory_objectives_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,22 +97,9 @@ def _contradictory_objectives_rows(rows: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _multipath_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Express the non-increasing run that opens at each row's activation
-    gene (its highest, ties to the lower index) and closes before the
-    first gene that rises above its predecessor."""
-    n, dim = rows.shape
+    gene (its highest, ties to the lower index)."""
     activation = rows.argmax(axis=1)
-    cols = np.arange(dim)
-    if dim > 1:
-        rising = np.zeros_like(rows, dtype=bool)
-        rising[:, 1:] = rows[:, 1:] > rows[:, :-1]
-        rise_after_start = rising & (cols > activation[:, np.newaxis])
-        has_end = rise_after_start.any(axis=1)
-        region_end = np.where(has_end, rise_after_start.argmax(axis=1), dim)
-    else:
-        region_end = np.full(n, dim)
-    active = (cols >= activation[:, np.newaxis]) & (cols < region_end[:, np.newaxis])
-    traits = np.where(active, rows, 0.0)
-    return traits, activation
+    return _expressed_run(rows, activation), activation
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ are part of what the search has found.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,31 +31,43 @@ from .diagnostics import DIAGNOSTICS, PEAKS, DiagnosticKind
 
 SATISFACTORY_THRESHOLD: float = 0.99 * UPPER_BOUND
 
-CSV_HEADER = [
-    "generation",
-    "best_performance",
-    "best_total_fitness",
-    "satisfactory_trait_coverage",
-    "activation_gene_coverage",
-    "largest_valley_reached",
-    "archive_size",
-]
-
 # Valley metric value when no gene has reached the first peak.
 NO_VALLEY = -1
 
 
+def _int_cell(value: Optional[int]) -> str:
+    return "" if value is None else str(value)
+
+
+def _int_or_none(text: str) -> Optional[int]:
+    return None if text == "" else int(text)
+
+
+def _column(write: Callable[[object], str], read: Callable[[str], object], **kwargs):
+    """A record field that is one CSV column, with its formatter and parser."""
+    return field(metadata={"csv": (write, read)}, **kwargs)
+
+
 @dataclass(frozen=True)
 class GenerationRecord:
-    """One CSV row. None marks a field the diagnostic does not define."""
+    """One CSV row, one column per field in order. None marks a field the
+    diagnostic does not define and is written as an empty cell; the valley
+    column writes ``NO_VALLEY`` as "none"."""
 
-    generation: int
-    best_performance: float
-    best_total_fitness: float
-    satisfactory_trait_coverage: Optional[int] = None
-    activation_gene_coverage: Optional[int] = None
-    largest_valley_reached: Optional[int] = None
-    archive_size: Optional[int] = None
+    generation: int = _column(str, int)
+    best_performance: float = _column(repr, float)
+    best_total_fitness: float = _column(repr, float)
+    satisfactory_trait_coverage: Optional[int] = _column(_int_cell, _int_or_none, default=None)
+    activation_gene_coverage: Optional[int] = _column(_int_cell, _int_or_none, default=None)
+    largest_valley_reached: Optional[int] = _column(
+        lambda value: "none" if value == NO_VALLEY else _int_cell(value),
+        lambda text: NO_VALLEY if text == "none" else _int_or_none(text), default=None)
+    archive_size: Optional[int] = _column(_int_cell, _int_or_none, default=None)
+
+
+CSV_HEADER = [f.name for f in fields(GenerationRecord)]
+_record_values = attrgetter(*CSV_HEADER)
+_FORMATTERS, _PARSERS = zip(*(f.metadata["csv"] for f in fields(GenerationRecord)))
 
 
 def has_satisfactory_solution(pop: Population) -> bool:
@@ -145,40 +158,14 @@ def snapshot(
     if diagnostic.valleys:
         valley = largest_valley_reached(pop.genotypes[best])
 
+    archived = len(archive) if archive is not None else None
     return GenerationRecord(
-        generation=generation,
-        best_performance=best_total / pop.dim,
-        best_total_fitness=best_total,
-        satisfactory_trait_coverage=sat_cov,
-        activation_gene_coverage=act_cov,
-        largest_valley_reached=valley,
-        archive_size=len(archive) if archive is not None else None,
-    )
+        generation, best_total / pop.dim, best_total, sat_cov, act_cov, valley, archived)
 
 
 # ---------------------------------------------------------------------------
 # CSV persistence
 # ---------------------------------------------------------------------------
-
-
-def _format_cell(value, valley_field: bool = False) -> str:
-    if value is None:
-        return ""
-    if valley_field and value == NO_VALLEY:
-        return "none"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _parse_cell(text: str, kind: str):
-    if text == "":
-        return None
-    if kind == "valley":
-        return NO_VALLEY if text == "none" else int(text)
-    if kind == "int":
-        return int(text)
-    return float(text)
 
 
 def write_records_csv(path, records: Sequence[GenerationRecord]) -> None:
@@ -187,19 +174,16 @@ def write_records_csv(path, records: Sequence[GenerationRecord]) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for rec in records:
-            writer.writerow([
-                _format_cell(rec.generation),
-                _format_cell(rec.best_performance),
-                _format_cell(rec.best_total_fitness),
-                _format_cell(rec.satisfactory_trait_coverage),
-                _format_cell(rec.activation_gene_coverage),
-                _format_cell(rec.largest_valley_reached, valley_field=True),
-                _format_cell(rec.archive_size),
-            ])
+            writer.writerow([write(value)
+                             for write, value in zip(_FORMATTERS, _record_values(rec))])
 
 
 def read_records_csv(path) -> list[GenerationRecord]:
-    """Parse a record CSV back to the exact records that produced it."""
+    """Parse a record CSV back to the exact records that produced it.
+
+    A wrong header, a row of the wrong length or a cell its column cannot
+    parse raises ValueError.
+    """
     records = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -210,12 +194,5 @@ def read_records_csv(path) -> list[GenerationRecord]:
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"{path}: malformed row {row!r}")
             records.append(GenerationRecord(
-                generation=_parse_cell(row[0], "int"),
-                best_performance=_parse_cell(row[1], "float"),
-                best_total_fitness=_parse_cell(row[2], "float"),
-                satisfactory_trait_coverage=_parse_cell(row[3], "int"),
-                activation_gene_coverage=_parse_cell(row[4], "int"),
-                largest_valley_reached=_parse_cell(row[5], "valley"),
-                archive_size=_parse_cell(row[6], "int"),
-            ))
+                *[parse(cell) for parse, cell in zip(_PARSERS, row)]))
     return records

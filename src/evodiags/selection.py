@@ -7,6 +7,10 @@ of it; lexicase treats each trait as a test case; novelty search scores
 behavioral distinctness against the population and a growing archive;
 random selection is the control.
 
+One frozen :class:`SchemeParams` configures every scheme, novelty's
+``novelty_k`` and starting ``pmin`` included; novelty's other rules are
+the ``NOVELTY_*`` constants.
+
 Distance-based schemes can normalize Euclidean distances by the search
 space diameter (``upper_bound * sqrt(D)``) so that ``sigma`` reads as a
 fraction of the diameter; the raw-distance reading is available behind
@@ -46,54 +50,35 @@ def all_scheme_names() -> list[str]:
 # Novelty search's fixed rules: ``pmin`` rises by ``NOVELTY_RAISE_FACTOR``
 # when more than ``NOVELTY_BURST_LIMIT`` phenotypes clear it in one
 # generation, and falls by ``NOVELTY_DECAY_FACTOR`` after
-# ``NOVELTY_DECAY_WINDOW`` generations in a row without one; parents come
-# from size-``NOVELTY_TOURNAMENT_SIZE`` tournaments on the scores.
+# ``NOVELTY_DECAY_WINDOW`` generations in a row without one; about one
+# random population phenotype per ``NOVELTY_SAVE_PERIOD`` generations is
+# archived regardless of score; parents come from
+# size-``NOVELTY_TOURNAMENT_SIZE`` tournaments on the scores.
 NOVELTY_BURST_LIMIT = 4
 NOVELTY_RAISE_FACTOR = 1.25
 NOVELTY_DECAY_WINDOW = 500
 NOVELTY_DECAY_FACTOR = 0.95
+NOVELTY_SAVE_PERIOD = 200
 NOVELTY_TOURNAMENT_SIZE = 2
-
-
-@dataclass(frozen=True)
-class NoveltyParams:
-    """Novelty search configuration.
-
-    ``pmin`` is the archive threshold a run starts from; about one random
-    population phenotype per ``save_period`` generations is archived
-    regardless of score.
-    """
-
-    k: int = 15
-    pmin: float = 10.0
-    save_period: int = 200
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ConfigurationError(f"novelty k must be >= 1, got {self.k}")
-        if self.pmin <= 0.0:
-            raise ConfigurationError(f"pmin must be positive, got {self.pmin}")
 
 
 @dataclass
 class NoveltyState:
-    """One novelty run's state: the append-only archive (the same list for
-    the whole run), the current ``pmin``, and the generations since the
-    last threshold addition."""
+    """One novelty run's state: neighbor count ``k``, current threshold
+    ``pmin``, the append-only archive (one list for the whole run) and
+    the generations since the last threshold addition."""
 
-    params: NoveltyParams
+    k: int
+    pmin: float
     archive: list[np.ndarray] = field(default_factory=list)
     generations_since_add: int = 0
-    pmin: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.pmin = self.params.pmin
 
 
 @dataclass(frozen=True)
 class SchemeParams:
     """Per-scheme configuration; :func:`fresh_scheme_state` starts a run
-    from it."""
+    from it. ``novelty_k`` and ``pmin`` are novelty search's neighbor
+    count and starting archive threshold."""
 
     scheme: SchemeKind
     tr: int = 8
@@ -101,7 +86,8 @@ class SchemeParams:
     sigma: float = 0.3
     alpha: float = 1.0
     normalize_distance: bool = True
-    novelty: NoveltyParams = field(default_factory=NoveltyParams)
+    novelty_k: int = 15
+    pmin: float = 10.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scheme", SchemeKind(self.scheme))
@@ -113,6 +99,10 @@ class SchemeParams:
             raise ConfigurationError(f"sigma must be >= 0, got {self.sigma}")
         if self.alpha <= 0.0:
             raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
+        if self.novelty_k < 1:
+            raise ConfigurationError(f"novelty_k must be >= 1, got {self.novelty_k}")
+        if self.pmin <= 0.0:
+            raise ConfigurationError(f"pmin must be positive, got {self.pmin}")
 
 
 @dataclass
@@ -132,7 +122,7 @@ class SchemeState:
 def fresh_scheme_state(params: SchemeParams) -> SchemeState:
     """A new replicate's state; no two replicates share an archive."""
     is_novelty = params.scheme is SchemeKind.NOVELTY
-    return SchemeState(params, NoveltyState(params.novelty) if is_novelty else None)
+    return SchemeState(params, NoveltyState(params.novelty_k, params.pmin) if is_novelty else None)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +472,7 @@ def novelty_select(
     Archive update order: threshold additions, burst check on ``pmin``,
     stagnation decay of ``pmin``, then the periodic random save.
     """
-    scores = novelty_scores(pop.phenotypes, state.archive, state.params.k)
+    scores = novelty_scores(pop.phenotypes, state.archive, state.k)
     novel = np.flatnonzero(scores > state.pmin)
     for idx in novel:
         state.archive.append(pop.phenotypes[idx].copy())
@@ -495,7 +485,7 @@ def novelty_select(
         if state.generations_since_add >= NOVELTY_DECAY_WINDOW:
             state.pmin *= NOVELTY_DECAY_FACTOR
             state.generations_since_add = 0
-    if rng.random() < 1.0 / state.params.save_period:
+    if rng.random() < 1.0 / NOVELTY_SAVE_PERIOD:
         state.archive.append(pop.phenotypes[rng.integers(len(pop))].copy())
     return _score_tournaments(scores, NOVELTY_TOURNAMENT_SIZE, n, rng)
 

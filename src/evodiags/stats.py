@@ -85,14 +85,14 @@ def wilcoxon_rank_sum(
     a: Sequence[float],
     b: Sequence[float],
     alternative: str = "two-sided",
-    exact_limit: int = EXACT_ENUMERATION_LIMIT,
 ) -> tuple[float, float]:
     """Rank-sum test via the Mann-Whitney U statistic for the first sample.
 
     ``alternative='greater'`` tests whether ``a`` tends larger than ``b``.
     P-values come from exact enumeration when the combined sample is
-    small (<= ``exact_limit``) and tie-free, otherwise from the normal
-    approximation with tie-corrected variance and continuity correction.
+    small (<= ``EXACT_ENUMERATION_LIMIT``) and tie-free, otherwise from
+    the normal approximation with tie-corrected variance and continuity
+    correction.
     """
     if alternative not in ("two-sided", "less", "greater"):
         raise ValueError(f"unknown alternative {alternative!r}")
@@ -105,7 +105,7 @@ def wilcoxon_rank_sum(
     ranks = midranks(pooled)
     u_stat = float(ranks[:n_a].sum() - n_a * (n_a + 1) / 2.0)
     tie_free = len(np.unique(pooled)) == len(pooled)
-    if tie_free and n_a + n_b <= exact_limit:
+    if tie_free and n_a + n_b <= EXACT_ENUMERATION_LIMIT:
         p = _exact_rank_sum_p(u_stat, n_a, n_b, alternative)
     else:
         p = _normal_rank_sum_p(u_stat, n_a, n_b, pooled, alternative)

@@ -46,7 +46,6 @@ import pytest
 
 from evodiags import (
     DiagnosticKind,
-    NoveltyParams,
     NoveltyState,
     Population,
     SchemeKind,
@@ -62,6 +61,7 @@ from evodiags import (
     wilcoxon_rank_sum,
     write_records_csv,
 )
+from evodiags import selection
 from evodiags.cli import ExperimentConfig, replicate_filename, run_experiment
 
 from oracles import (
@@ -359,7 +359,7 @@ def test_criterion_6_diagnostic_oracles():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_7_selection_distributions():
+def test_criterion_7_selection_distributions(monkeypatch):
     ok = True
     details = []
     # Stochastic remainder: weights [3, 1], two slots per draw. Index 0
@@ -383,7 +383,8 @@ def test_criterion_7_selection_distributions():
 
     # Size-2 novelty tournaments on scores {0, 50}: member 1 sits far from
     # the archive point that member 0 duplicates.
-    state = NoveltyState(NoveltyParams(k=1, pmin=10**9, save_period=10**9))
+    monkeypatch.setattr(selection, "NOVELTY_SAVE_PERIOD", 10**9)
+    state = NoveltyState(k=1, pmin=10**9)
     state.archive.append(np.array([0.0, 0.0]))
     pheno = np.array([[0.0, 0.0], [30.0, 40.0]])
     pop = Population(pheno.copy(), pheno.copy(), pheno.sum(axis=1))

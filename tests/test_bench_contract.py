@@ -1,4 +1,4 @@
-"""The benchmark's traced replicate must write what ``run_replicate`` writes.
+"""The benchmark's hooks into the package must keep working.
 
 ``perfbench/layers.py`` keeps its own copy of ``run_replicate``'s loop so
 that it can time each layer. That copy calls ``random_genotypes``,
@@ -6,11 +6,17 @@ that it can time each layer. That copy calls ``random_genotypes``,
 ``evaluate_population`` and ``snapshot`` with ``config.diagnostic``,
 ``has_satisfactory_solution`` and ``write_records_csv``, and it reads
 ``state.scheme``, ``state.novelty.archive``, ``BOUNDS_CHECK_STRIDE`` and
-``config.mutation.lo``/``hi`` by name. These tests load the file as it is
-and check that its replicate writes the same CSV bytes as
-``run_replicate`` followed by ``write_records_csv``, so a change to any of
-those names, or to the loop's order of random draws, fails here rather
-than in a benchmark run.
+``config.mutation.lo``/``hi`` by name. Its ``pool_spans`` wraps
+``cli.run_replicate`` and ``cli.write_records_csv``, and its
+``analyze_spans`` wraps ``cli.read_records_csv``, ``cli.kruskal_wallis``,
+``cli.wilcoxon_rank_sum`` and ``cli.bonferroni``, each of which ``cli``
+must look up at call time.
+
+These tests load the file as it is. They check that its replicate writes
+the same CSV bytes as ``run_replicate`` followed by ``write_records_csv``,
+and that its wrappers see every replicate of a grid and every read and
+statistic of an analysis, so a change to any of those names, or to the
+loop's order of random draws, fails here rather than in a benchmark run.
 """
 
 import importlib.util
@@ -21,7 +27,6 @@ import pytest
 
 from evodiags import (
     DiagnosticKind,
-    NoveltyParams,
     ReplicateConfig,
     SchemeKind,
     SchemeParams,
@@ -29,7 +34,7 @@ from evodiags import (
     run_replicate,
     write_records_csv,
 )
-from evodiags import evolve
+from evodiags import cli, evolve
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -56,7 +61,7 @@ def test_traced_replicate_writes_the_run_replicate_bytes(
     config = ReplicateConfig(
         diagnostic=diagnostic,
         # A low pmin makes the novelty archive grow within the run.
-        scheme=SchemeParams(scheme=scheme, novelty=NoveltyParams(pmin=1.0)),
+        scheme=SchemeParams(scheme=scheme, pmin=1.0),
         pop_size=16, generations=40, dim=5, seed=3, include_archive=True)
     direct, traced = tmp_path / "direct.csv", tmp_path / "traced.csv"
     write_records_csv(direct, run_replicate(config).records)
@@ -65,3 +70,22 @@ def test_traced_replicate_writes_the_run_replicate_bytes(
     assert traced.read_bytes() == direct.read_bytes()
     if scheme is SchemeKind.NOVELTY:
         assert read_records_csv(traced)[-1].archive_size > 0
+
+
+def test_pool_and_analyze_spans_see_the_grid_and_its_analysis(tmp_path):
+    layers = load_layers()
+    config = cli.ExperimentConfig(
+        diagnostics=["exploitation-rate"], schemes=["truncation", "random"],
+        replicates=2, base_seed=4, output_dir=str(tmp_path / "grid"),
+        pop_size=8, generations=10, dim=3, workers=1)
+    with layers.pool_spans(tmp_path / "spans"):
+        assert cli.run_experiment(config) == 0
+    files = sorted(path.name for path in (tmp_path / "grid").glob("*.csv"))
+    spans = layers.read_spans(tmp_path / "spans")
+    assert len(files) == 4
+    assert sorted(span["file"] for span in spans) == files
+    trace = layers.AnalyzeTrace()
+    with layers.analyze_spans(trace):
+        assert cli.analyze(config.output_dir, out_path=str(tmp_path / "cmp.csv")) == 0
+    assert trace.rows_read == 4 * 11
+    assert trace.stats_s > 0

@@ -8,7 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evodiags import ConfigurationError, DiagnosticKind, SchemeKind, read_records_csv
+from evodiags import (
+    ConfigurationError,
+    DiagnosticKind,
+    MutationParams,
+    SchemeKind,
+    SchemeParams,
+    fresh_scheme_state,
+    read_records_csv,
+)
 from evodiags.cli import (
     ExperimentConfig,
     _splitmix64,
@@ -84,6 +92,31 @@ def test_config_file_values_and_comments(tmp_path):
         assert getattr(cfg, key) == value, key
         assert type(getattr(cfg, key)) is type(value), key
         assert getattr(default, key) != value, key
+
+
+def test_replicate_config_carries_every_setting():
+    # Every replicate-level key, each set away from its default.
+    values = dict(
+        base_seed=7, pop_size=16, generations=100, dim=4, stride=10,
+        mutation_rate=0.05, mutation_stddev=2.5, init_lo=0.5, init_hi=2.0,
+        tr=3, ts=4, sigma=0.1, alpha=2.0, normalize_sharing=False,
+        novelty_k=5, pmin=1.5, include_archive=True)
+    grid_level = {"diagnostics", "schemes", "replicates", "output_dir", "workers"}
+    assert values.keys() | grid_level == {f.name for f in fields(ExperimentConfig)}
+    default = ExperimentConfig()
+    for key, value in values.items():
+        assert getattr(default, key) != value, key
+    rc = ExperimentConfig(**values).replicate_config("valley-crossing", "novelty", 2)
+    assert rc.diagnostic is DiagnosticKind.VALLEY_CROSSING
+    assert rc.seed == replicate_seed(7, "valley-crossing", "novelty", 2)
+    assert (rc.pop_size, rc.generations, rc.dim, rc.record_stride) == (16, 100, 4, 10)
+    assert (rc.init_lo, rc.init_hi, rc.include_archive) == (0.5, 2.0, True)
+    assert rc.mutation == MutationParams(per_gene_rate=0.05, step_stddev=2.5)
+    assert rc.scheme == SchemeParams(
+        scheme=SchemeKind.NOVELTY, tr=3, ts=4, sigma=0.1, alpha=2.0,
+        normalize_distance=False, novelty_k=5, pmin=1.5)
+    novelty = fresh_scheme_state(rc.scheme).novelty
+    assert (novelty.k, novelty.pmin, novelty.archive) == (5, 1.5, [])
 
 
 def test_unknown_key_is_named_in_error(tmp_path):
@@ -243,6 +276,24 @@ def test_analyze_skips_and_reports_bad_files(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "lexicase" in err
+
+
+@pytest.mark.parametrize("bad_row", [
+    "10,5.0,abc,,,,",  # a fitness cell that is not a number
+    "10,5.0,20.0,x,,,",  # an integer column with a non-integer cell
+    "10,5.0,20.0,,,",  # one column short
+])
+def test_analyze_lists_a_replicate_with_a_bad_row(tmp_path, capsys, bad_row):
+    out = tmp_path / "res"
+    write_synthetic_results(out, {
+        "truncation": [10.0, 11.0, 12.0],
+        "random": [1.0, 2.0, 3.0]})
+    bad = out / replicate_filename("exploitation-rate", "lexicase", 0)
+    bad.write_text(",".join(CSV_HEADER) + "\n0,0.0,0.0,,,,\n" + bad_row + "\n")
+    with pytest.raises(ValueError):
+        read_records_csv(bad)
+    assert analyze(str(out), metric="best_performance") == 2
+    assert bad.name in capsys.readouterr().err
 
 
 def test_analyze_rejects_unknown_metric(tmp_path):

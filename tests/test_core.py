@@ -11,15 +11,15 @@ from evodiags import (
 
 
 def test_rebound_reflects_below_lower_bound():
-    assert rebound(np.array([-0.7]), 0.0, 100.0) == pytest.approx([0.7])
+    assert rebound(np.array([-0.7])) == pytest.approx([0.7])
 
 
 def test_rebound_reflects_above_upper_bound():
-    assert rebound(np.array([100.7]), 0.0, 100.0) == pytest.approx([99.3])
+    assert rebound(np.array([100.7])) == pytest.approx([99.3])
 
 
 def test_rebound_is_identity_in_range():
-    assert np.array_equal(rebound(np.array([50.0]), 0.0, 100.0), [50.0])
+    assert np.array_equal(rebound(np.array([50.0])), [50.0])
     values = np.linspace(0.0, 100.0, 101)
     assert np.array_equal(rebound(values), values)
 
@@ -27,7 +27,7 @@ def test_rebound_is_identity_in_range():
 def test_rebound_maps_one_full_span_overshoot_back_in_range():
     lo, hi = 0.0, 100.0
     v = np.linspace(lo - (hi - lo), hi + (hi - lo), 4001)
-    out = rebound(v, lo, hi)
+    out = rebound(v)
     assert out.min() >= lo and out.max() <= hi
 
 

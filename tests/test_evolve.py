@@ -4,7 +4,6 @@ import pytest
 from evodiags import (
     DiagnosticKind,
     MutationParams,
-    NoveltyParams,
     ReplicateConfig,
     SchemeKind,
     SchemeParams,
@@ -85,7 +84,7 @@ def test_different_seeds_diverge():
 def test_novelty_state_does_not_leak_between_replicates():
     cfg = config(scheme=SchemeKind.NOVELTY, generations=30, seed=5)
     # Low threshold: the archive grows quickly.
-    cfg.scheme = SchemeParams(scheme=SchemeKind.NOVELTY, novelty=NoveltyParams(pmin=0.5))
+    cfg.scheme = SchemeParams(scheme=SchemeKind.NOVELTY, pmin=0.5)
     first = run_replicate(cfg)
     assert first.records[-1].archive_size > 0
     second = run_replicate(cfg)  # would start from the first run's archive if it leaked

@@ -6,7 +6,6 @@ import pytest
 
 from evodiags import (
     ConfigurationError,
-    NoveltyParams,
     NoveltyState,
     Population,
     SchemeKind,
@@ -25,6 +24,7 @@ from evodiags import (
     tournament_select,
     truncation_select,
 )
+from evodiags import selection
 from evodiags.selection import niche_counts, nsga_front_assignment
 
 from oracles import (
@@ -491,21 +491,22 @@ def test_novelty_scores_pool_smaller_than_k_uses_all():
     assert scores[0] == pytest.approx((3.0 + 9.0) / 2)
 
 
-def test_novelty_archive_threshold_and_burst_raise():
+def test_novelty_archive_threshold_and_burst_raise(monkeypatch):
+    monkeypatch.setattr(selection, "NOVELTY_SAVE_PERIOD", 10**9)
     # Six members pairwise far apart: scores exceed pmin, burst > 4 raises it.
     pheno = np.diag(np.full(6, 90.0))
-    state = NoveltyState(NoveltyParams(k=2, pmin=10.0, save_period=10**9))
+    state = NoveltyState(k=2, pmin=10.0)
     pop = make_pop(pheno)
     novelty_select(pop, state, 6, np.random.default_rng(26))
     assert len(state.archive) == 6
     assert state.pmin == pytest.approx(12.5)
     assert state.generations_since_add == 0
-    assert state.params.pmin == 10.0  # the config keeps the starting pmin
 
 
-def test_novelty_pmin_decays_after_quiet_window():
+def test_novelty_pmin_decays_after_quiet_window(monkeypatch):
+    monkeypatch.setattr(selection, "NOVELTY_SAVE_PERIOD", 10**9)
     pheno = np.full((4, 2), 5.0)  # all identical: scores 0, never archived
-    state = NoveltyState(NoveltyParams(pmin=10.0, save_period=10**9))
+    state = NoveltyState(k=15, pmin=10.0)
     pop = make_pop(pheno)
     rng = np.random.default_rng(27)
     for _ in range(499):
@@ -519,9 +520,10 @@ def test_novelty_pmin_decays_after_quiet_window():
     assert state.pmin == pytest.approx(10.0 * 0.95 * 0.95)
 
 
-def test_novelty_random_save_appends_population_phenotype():
+def test_novelty_random_save_appends_population_phenotype(monkeypatch):
+    monkeypatch.setattr(selection, "NOVELTY_SAVE_PERIOD", 1)  # save every generation
     pheno = np.full((3, 2), 1.0)
-    state = NoveltyState(NoveltyParams(pmin=10.0, save_period=1))  # save every generation
+    state = NoveltyState(k=15, pmin=10.0)
     pop = make_pop(pheno)
     novelty_select(pop, state, 3, np.random.default_rng(28))
     assert len(state.archive) == 1
@@ -530,10 +532,11 @@ def test_novelty_random_save_appends_population_phenotype():
     assert state.generations_since_add == 1
 
 
-def test_novelty_tournament_prefers_high_scores():
+def test_novelty_tournament_prefers_high_scores(monkeypatch):
+    monkeypatch.setattr(selection, "NOVELTY_SAVE_PERIOD", 10**9)
     pheno = np.array([[0.0, 0.0], [30.0, 40.0]])  # scores 50 each... symmetric
     # Use an archive to break symmetry: member 0 sits on the archive point.
-    state = NoveltyState(NoveltyParams(k=1, pmin=10**9, save_period=10**9))
+    state = NoveltyState(k=1, pmin=10**9)
     state.archive.append(np.array([0.0, 0.0]))
     pop = make_pop(pheno)
     wins = 0
@@ -544,9 +547,10 @@ def test_novelty_tournament_prefers_high_scores():
     assert wins == pytest.approx(0.75, abs=0.02)
 
 
-def test_novelty_archive_append_only_across_generations():
+def test_novelty_archive_append_only_across_generations(monkeypatch):
+    monkeypatch.setattr(selection, "NOVELTY_SAVE_PERIOD", 50)
     rng = np.random.default_rng(30)
-    state = NoveltyState(NoveltyParams(k=3, pmin=5.0, save_period=50))
+    state = NoveltyState(k=3, pmin=5.0)
     archive = state.archive
     sizes = []
     for _ in range(30):
@@ -605,7 +609,9 @@ def test_scheme_params_validation():
     with pytest.raises(ConfigurationError):
         SchemeParams(scheme=SchemeKind.NSGA, alpha=0.0)
     with pytest.raises(ConfigurationError):
-        NoveltyParams(k=0)
+        SchemeParams(scheme=SchemeKind.NOVELTY, novelty_k=0)
+    with pytest.raises(ConfigurationError):
+        SchemeParams(scheme=SchemeKind.NOVELTY, pmin=0.0)
 
 
 def test_scheme_and_novelty_params_reject_assignment():
@@ -613,15 +619,16 @@ def test_scheme_and_novelty_params_reject_assignment():
     with pytest.raises(dataclasses.FrozenInstanceError):
         params.tr = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
-        params.novelty.pmin = 1.0
+        params.pmin = 1.0
 
 
-def test_fresh_scheme_state_starts_each_run_from_the_params():
-    params = SchemeParams(scheme=SchemeKind.NOVELTY,
-                          novelty=NoveltyParams(k=2, save_period=10**9))
+def test_fresh_scheme_state_starts_each_run_from_the_params(monkeypatch):
+    monkeypatch.setattr(selection, "NOVELTY_SAVE_PERIOD", 10**9)
+    params = SchemeParams(scheme=SchemeKind.NOVELTY, novelty_k=2)
     first = fresh_scheme_state(params)
     select(make_pop(np.diag(np.full(6, 90.0))), first, 6, np.random.default_rng(36))
     assert len(first.novelty.archive) == 6 and first.novelty.pmin == pytest.approx(12.5)
+    assert params.pmin == 10.0  # the config keeps the starting pmin
     second = fresh_scheme_state(params)
     assert second.scheme is SchemeKind.NOVELTY
     assert second.novelty.archive == [] and second.novelty.pmin == 10.0

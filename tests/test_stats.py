@@ -3,6 +3,7 @@ import pytest
 import scipy.stats
 
 from evodiags import bonferroni, kruskal_wallis, wilcoxon_rank_sum
+from evodiags import stats
 from evodiags.stats import midranks
 
 
@@ -98,13 +99,15 @@ def test_rank_sum_two_sided_symmetric_in_arguments():
     assert p_ab == pytest.approx(p_ba, rel=1e-12)
 
 
-def test_rank_sum_exact_and_normal_paths_agree_for_medium_samples():
+def test_rank_sum_exact_and_normal_paths_agree_for_medium_samples(monkeypatch):
     rng = np.random.default_rng(4)
     for _ in range(10):
         pool = rng.permutation(1000)[:20].astype(float)
         a, b = pool[:10], pool[10:]
-        _, p_exact = wilcoxon_rank_sum(a, b, exact_limit=20)
-        _, p_normal = wilcoxon_rank_sum(a, b, exact_limit=0)
+        monkeypatch.setattr(stats, "EXACT_ENUMERATION_LIMIT", 20)
+        _, p_exact = wilcoxon_rank_sum(a, b)
+        monkeypatch.setattr(stats, "EXACT_ENUMERATION_LIMIT", 0)
+        _, p_normal = wilcoxon_rank_sum(a, b)
         assert abs(p_exact - p_normal) < 0.02
 
 
