@@ -16,6 +16,13 @@ space diameter (``upper_bound * sqrt(D)``) so that ``sigma`` reads as a
 fraction of the diameter; the raw-distance reading is available behind
 the same flag. Novelty distances are always raw, since the archive
 threshold ``pmin`` is calibrated in raw units.
+
+Every population-by-population distance block equals the one
+``scipy.spatial.distance.cdist`` gives, bit for bit, but computes each
+pair once (``pdist``). Phenotypes repeat, so phenotypic sharing computes
+its kernel over the distinct rows when at most half the rows are
+distinct, and nsga always does; the C-ordered gather back keeps every
+row sum's bits.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .core import ConfigurationError, Population, UPPER_BOUND
 
@@ -197,19 +204,58 @@ def sharing_kernel(d: np.ndarray, sigma: float, alpha: float) -> np.ndarray:
     return np.where(d < sigma, 1.0 - (d / sigma) ** alpha, 0.0)
 
 
+def _pair_block(
+    rows: np.ndarray, f: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """``f(cdist(rows, rows))`` bit for bit, for an element-wise ``f``.
+
+    ``pdist`` gives each pair's distance once, with ``cdist``'s
+    arithmetic, so ``f`` runs on N(N-1)/2 values; the diagonal, where
+    ``cdist`` gives 0, is ``f(0)``.
+    """
+    block = squareform(f(pdist(rows)))
+    np.fill_diagonal(block, f(np.zeros(1)))
+    return block
+
+
+def _sharing_block(
+    rows: np.ndarray, sigma: float, alpha: float, normalize: bool
+) -> np.ndarray:
+    """The sharing kernel of every pair of ``rows``, self pairs included."""
+    scale = UPPER_BOUND * np.sqrt(rows.shape[1]) if normalize else 1.0
+    return _pair_block(rows, lambda d: sharing_kernel(d / scale, sigma, alpha))
+
+
 def niche_counts(
-    points: np.ndarray, sigma: float, alpha: float, normalize: bool = True
+    points: np.ndarray,
+    sigma: float,
+    alpha: float,
+    normalize: bool = True,
+    dedup: bool = True,
 ) -> np.ndarray:
     """Per-row sum of the sharing kernel over all rows (self included).
 
     Distances are Euclidean, optionally scaled by the space diameter. The
     self term contributes 1, so counts are always >= 1; with sharing
     disabled (sigma 0) every count is exactly 1.
+
+    The kernel block equals the one computed from ``cdist(points,
+    points)`` bit for bit, with each pair computed once. With ``dedup``
+    (for phenotypes; genotypes rarely repeat), a block with at most half
+    its rows distinct is computed over the distinct rows and gathered
+    back in C order. The counts are the same bits either way.
     """
-    dmat = cdist(points, points)
-    if normalize:
-        dmat = dmat / (UPPER_BOUND * np.sqrt(points.shape[1]))
-    return np.maximum(sharing_kernel(dmat, sigma, alpha).sum(axis=1), 1.0)
+    if dedup:
+        distinct, inverse = _distinct_rows(points)
+        # Below half, the block over the distinct rows and its gather
+        # cost less than the block over all rows.
+        if 2 * distinct.shape[0] <= points.shape[0]:
+            # Clones share a row sum. Row a of this C-ordered gather
+            # holds, in order, the terms of each full-block row whose
+            # distinct row is a.
+            kernel = np.take(_sharing_block(distinct, sigma, alpha, normalize), inverse, axis=1)
+            return np.maximum(kernel.sum(axis=1), 1.0)[inverse]
+    return np.maximum(_sharing_block(points, sigma, alpha, normalize).sum(axis=1), 1.0)
 
 
 def fitness_sharing_select(
@@ -220,10 +266,12 @@ def fitness_sharing_select(
     n: int,
     rng: np.random.Generator,
     normalize: bool = True,
+    dedup: bool = True,
 ) -> np.ndarray:
     """Divide each fitness by its niche count among ``points`` (the
-    population's genotypes or phenotypes), then stochastic remainder."""
-    m = niche_counts(points, sigma, alpha, normalize)
+    population's genotypes or phenotypes), then stochastic remainder.
+    ``dedup`` is :func:`niche_counts`'."""
+    m = niche_counts(points, sigma, alpha, normalize, dedup)
     return stochastic_remainder(pop.total_fitness / m, n, rng)
 
 
@@ -367,13 +415,16 @@ def lexicase_select(pop: Population, n: int, rng: np.random.Generator) -> np.nda
 
 
 def nondominated_fronts(phenotypes: np.ndarray) -> list[np.ndarray]:
-    """Partition row indices into nondominated fronts (front 0 first).
+    """Partition row indices into nondominated fronts (front 0 first)."""
+    return _fronts(*_distinct_rows(np.asarray(phenotypes, dtype=np.float64)))
+
+
+def _fronts(distinct: np.ndarray, inverse: np.ndarray) -> list[np.ndarray]:
+    """The fronts of the rows ``distinct[inverse]``.
 
     Identical rows always share a front, so the fronts are peeled over
     the distinct rows and then expanded back to row indices in order.
     """
-    pheno = np.asarray(phenotypes, dtype=np.float64)
-    distinct, inverse = _distinct_rows(pheno)
     # ge[i, j]: distinct row i is at least as good as row j everywhere.
     ge = np.ones((distinct.shape[0],) * 2, dtype=bool)
     for column in _trait_ranks(distinct):
@@ -400,23 +451,29 @@ _FRONT_DECAY = 0.99
 
 def nsga_front_assignment(
     phenotypes: np.ndarray, sigma: float, alpha: float, normalize: bool = True
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> np.ndarray:
     """Rank by front, then share a per-front dummy fitness within each front.
 
     Front 0 starts from a dummy fitness equal to the population size; each
     later front starts at ``_FRONT_DECAY`` times the smallest shared
     fitness of the front before it, preserving strict cross-front
     ordering. Sharing uses phenotypic similarity restricted to same-front
-    members. Returns the fronts and the shared fitness of every row.
+    members: one kernel block over the distinct rows serves every front,
+    and each front's niche counts are the row sums of its C-ordered
+    gather, the bits :func:`niche_counts` gives on the front alone.
+    Returns the shared fitness of every row.
     """
     pheno = np.asarray(phenotypes, dtype=np.float64)
-    fronts = nondominated_fronts(pheno)
+    distinct, inverse = _distinct_rows(pheno)
+    kernel = _sharing_block(distinct, sigma, alpha, normalize)
     shared = np.empty(pheno.shape[0], dtype=np.float64)
     dummy = float(pheno.shape[0])
-    for front in fronts:
-        shared[front] = dummy / niche_counts(pheno[front], sigma, alpha, normalize)
+    for front in _fronts(distinct, inverse):
+        rows = inverse[front]
+        counts = np.maximum(kernel[rows[:, np.newaxis], rows].sum(axis=1), 1.0)
+        shared[front] = dummy / counts
         dummy = _FRONT_DECAY * shared[front].min()
-    return fronts, shared
+    return shared
 
 
 def nsga_select(
@@ -428,7 +485,7 @@ def nsga_select(
     normalize: bool = True,
 ) -> np.ndarray:
     """Stochastic remainder over front-ranked, within-front-shared fitness."""
-    _, shared = nsga_front_assignment(pop.phenotypes, sigma, alpha, normalize)
+    shared = nsga_front_assignment(pop.phenotypes, sigma, alpha, normalize)
     return stochastic_remainder(shared, n, rng)
 
 
@@ -449,15 +506,14 @@ def novelty_scores(
     """
     pheno = np.asarray(phenotypes, dtype=np.float64)
     n = pheno.shape[0]
+    # The block equals cdist(pheno, vstack([pheno, archive])) bit for bit.
+    dists = _pair_block(pheno, np.asarray)
     if len(archive):
-        pool = np.vstack([pheno, np.asarray(archive, dtype=np.float64)])
-    else:
-        pool = pheno
-    dists = cdist(pheno, pool)
-    dists[np.arange(n), np.arange(n)] = np.inf  # self, excluded once
-    available = pool.shape[0] - 1
+        dists = np.hstack([dists, cdist(pheno, np.asarray(archive, dtype=np.float64))])
+    available = dists.shape[1] - 1
     if available < 1:
         return np.zeros(n, dtype=np.float64)
+    dists[np.arange(n), np.arange(n)] = np.inf  # self, excluded once
     kk = min(k, available)
     nearest = np.partition(dists, kk - 1, axis=1)[:, :kk]
     return nearest.mean(axis=1)
@@ -512,7 +568,7 @@ SCHEMES = {
     SchemeKind.SHARING_GENOTYPIC: Scheme(
         lambda pop, state, n, rng: fitness_sharing_select(
             pop, pop.genotypes, state.params.sigma, state.params.alpha, n, rng,
-            state.params.normalize_distance),
+            state.params.normalize_distance, dedup=False),
         "fitness divided by genotypic niche count, stochastic remainder"),
     SchemeKind.SHARING_PHENOTYPIC: Scheme(
         lambda pop, state, n, rng: fitness_sharing_select(

@@ -3,12 +3,15 @@
 Everything here is written as plain scalar loops straight from the
 definitions, deliberately sharing no code with the package, so the
 vectorized implementations can be checked against them on enumerated
-inputs.
+inputs. The ``*_cdist`` oracles instead keep the full-matrix
+``scipy.spatial.distance.cdist`` form of a distance computation, so that
+a faster form can be checked against it bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 SAWTOOTH_PEAKS = [8.0, 9.0, 11.0, 14.0, 18.0, 23.0, 29.0, 36.0, 44.0, 53.0, 63.0, 74.0, 86.0, 99.0]
 
@@ -127,3 +130,44 @@ def oracle_lexicase(phenotypes, case_orders, draws):
                 break
         picks.append(candidates[int(draw * len(candidates))])
     return picks
+
+
+def oracle_niche_counts_cdist(points, sigma, alpha, normalize=True):
+    """Per-row sums of the sharing kernel over ``cdist(points, points)``,
+    distances scaled by the diameter ``100 * sqrt(D)`` when normalizing."""
+    points = np.asarray(points, dtype=np.float64)
+    dmat = cdist(points, points)
+    if normalize:
+        dmat = dmat / (100.0 * np.sqrt(points.shape[1]))
+    if sigma == 0.0:
+        kernel = np.zeros_like(dmat)
+    else:
+        kernel = np.where(dmat < sigma, 1.0 - (dmat / sigma) ** alpha, 0.0)
+    return np.maximum(kernel.sum(axis=1), 1.0)
+
+
+def oracle_nsga_shared_cdist(phenotypes, fronts, sigma, alpha, normalize=True):
+    """nsga's shared fitness with one ``cdist`` block per front: front 0
+    starts from the population size, each later front from 0.99 times the
+    previous front's smallest shared value."""
+    pheno = np.asarray(phenotypes, dtype=np.float64)
+    shared = np.empty(pheno.shape[0])
+    dummy = float(pheno.shape[0])
+    for front in fronts:
+        shared[front] = dummy / oracle_niche_counts_cdist(
+            pheno[front], sigma, alpha, normalize)
+        dummy = 0.99 * shared[front].min()
+    return shared
+
+
+def oracle_novelty_scores_cdist(phenotypes, archive, k):
+    """Novelty scores from ``cdist(P, vstack([P, A]))``, self excluded."""
+    pheno = np.asarray(phenotypes, dtype=np.float64)
+    n = pheno.shape[0]
+    pool = np.vstack([pheno, np.asarray(archive, dtype=np.float64).reshape(-1, pheno.shape[1])])
+    if pool.shape[0] < 2:
+        return np.zeros(n)
+    dists = cdist(pheno, pool)
+    dists[np.arange(n), np.arange(n)] = np.inf
+    kk = min(k, pool.shape[0] - 1)
+    return np.partition(dists, kk - 1, axis=1)[:, :kk].mean(axis=1)

@@ -31,7 +31,10 @@ from oracles import (
     oracle_dominates,
     oracle_fronts,
     oracle_lexicase,
+    oracle_niche_counts_cdist,
     oracle_novelty_scores,
+    oracle_novelty_scores_cdist,
+    oracle_nsga_shared_cdist,
 )
 
 
@@ -237,6 +240,73 @@ def test_shared_fitness_never_exceeds_raw():
 
 
 # ---------------------------------------------------------------------------
+# Exact pair distances: every block equals the cdist form bit for bit
+# ---------------------------------------------------------------------------
+
+
+def clustered_rows(n, distinct, dim, seed):
+    """``n`` rows drawn from ``distinct`` close rows, each drawn at least
+    once, so that every pair lies inside sigma and each row sum adds
+    ``n`` unequal terms."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(40.0, 60.0, size=(distinct, dim))
+    picks = np.concatenate([np.arange(distinct), rng.integers(0, distinct, n - distinct)])
+    return base[rng.permutation(picks)]
+
+
+EXACT_BLOCKS = {
+    "clones": np.full((6, 3), 42.0),
+    "signed-zeros": np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [3.0, 4.0]] * 2),
+    "one-row": np.array([[5.0, 7.0, 9.0]]),
+    "two-rows": np.array([[0.0, 0.0], [0.15 * 100.0 * np.sqrt(2.0), 0.0]]),
+    "all-distinct": clustered_rows(40, 40, 5, seed=30),
+    "half-distinct": clustered_rows(64, 32, 10, seed=31),
+    "half-plus-one-distinct": clustered_rows(64, 33, 10, seed=32),
+    "few-distinct-wide": clustered_rows(96, 12, 100, seed=33),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_BLOCKS))
+@pytest.mark.parametrize("sigma, normalize", [(0.3, True), (0.0, True), (40.0, False)])
+@pytest.mark.parametrize("dedup", [True, False])
+def test_niche_counts_equal_the_cdist_form_bit_for_bit(name, sigma, normalize, dedup):
+    points = EXACT_BLOCKS[name]
+    got = niche_counts(points, sigma, 1.0, normalize, dedup)
+    assert np.array_equal(got, oracle_niche_counts_cdist(points, sigma, 1.0, normalize))
+
+
+def test_half_distinct_rule_sides(monkeypatch):
+    # At most half the rows distinct: the kernel block covers only the
+    # distinct rows, -0.0 and 0.0 being one value.
+    block_rows = []
+    sharing_block = selection._sharing_block
+
+    def spy(rows, *args):
+        block_rows.append(rows.shape[0])
+        return sharing_block(rows, *args)
+
+    monkeypatch.setattr(selection, "_sharing_block", spy)
+    for name in ["half-distinct", "half-plus-one-distinct", "signed-zeros"]:
+        niche_counts(EXACT_BLOCKS[name], 0.3, 1.0)
+    niche_counts(EXACT_BLOCKS["half-distinct"], 0.3, 1.0, dedup=False)
+    assert block_rows == [32, 64, 3, 64]
+
+
+def test_fortran_ordered_gather_changes_the_row_sums():
+    # The same kernel values, gathered back column-major, sum to other
+    # bits; this fixture would catch that gather.
+    points = EXACT_BLOCKS["half-distinct"]
+    distinct, inverse = selection._distinct_rows(points)
+    kernel = selection._sharing_block(distinct, 0.3, 1.0, True)
+    c_order = kernel[inverse[:, np.newaxis], inverse]
+    f_order = kernel[inverse][:, inverse]
+    assert np.array_equal(c_order, f_order)
+    expected = oracle_niche_counts_cdist(points, 0.3, 1.0)
+    assert np.array_equal(np.maximum(c_order.sum(axis=1), 1.0), expected)
+    assert not np.array_equal(np.maximum(f_order.sum(axis=1), 1.0), expected)
+
+
+# ---------------------------------------------------------------------------
 # Stochastic remainder
 # ---------------------------------------------------------------------------
 
@@ -424,7 +494,7 @@ def test_nsga_two_singleton_fronts_ratio():
     # Distant phenotypes (no sharing): shared fitness N for the dominator,
     # 0.99 N for the dominated.
     pheno = np.array([[100.0, 100.0], [0.0, 0.0]])
-    _, shared = nsga_front_assignment(pheno, 0.3, 1.0, normalize=True)
+    shared = nsga_front_assignment(pheno, 0.3, 1.0, normalize=True)
     assert shared[0] == pytest.approx(2.0)
     assert shared[1] == pytest.approx(0.99 * 2.0)
 
@@ -432,7 +502,8 @@ def test_nsga_two_singleton_fronts_ratio():
 def test_nsga_front_fitness_strictly_ordered():
     rng = np.random.default_rng(24)
     pheno = rng.uniform(0, 100, size=(40, 3))
-    fronts, shared = nsga_front_assignment(pheno, 0.3, 1.0)
+    shared = nsga_front_assignment(pheno, 0.3, 1.0)
+    fronts = nondominated_fronts(pheno)
     previous_min = np.inf
     for front in fronts:
         values = shared[front]
@@ -442,9 +513,32 @@ def test_nsga_front_fitness_strictly_ordered():
 
 def test_nsga_sigma_zero_is_pure_front_ranking():
     pheno = np.array([[5.0, 5.0], [5.0, 5.0], [1.0, 1.0]])
-    _, shared = nsga_front_assignment(pheno, 0.0, 1.0)
+    shared = nsga_front_assignment(pheno, 0.0, 1.0)
     assert shared[0] == shared[1] == 3.0
     assert shared[2] == pytest.approx(0.99 * 3.0)
+
+
+NSGA_BLOCKS = {
+    "chain-of-one-row-fronts": np.array([[4.0, 4.0], [3.0, 3.0], [2.0, 2.0], [1.0, 1.0]]),
+    "clones-and-one-row-fronts": np.array(
+        [[50.0, 50.0], [50.0, 50.0], [49.0, 49.0], [-0.0, 1.0], [0.0, 1.0], [48.0, 52.0]]),
+    "clustered": clustered_rows(64, 24, 4, seed=34),
+    "all-distinct": clustered_rows(40, 40, 3, seed=35),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NSGA_BLOCKS))
+@pytest.mark.parametrize("sigma", [0.3, 0.0])
+def test_nsga_shared_equals_per_front_cdist_bit_for_bit(name, sigma):
+    pheno = NSGA_BLOCKS[name]
+    fronts = nondominated_fronts(pheno)
+    expected = oracle_nsga_shared_cdist(pheno, fronts, sigma, 1.0)
+    assert np.array_equal(nsga_front_assignment(pheno, sigma, 1.0), expected)
+
+
+def test_nsga_fixtures_have_one_row_fronts():
+    for name in ["chain-of-one-row-fronts", "clones-and-one-row-fronts"]:
+        assert min(len(f) for f in nondominated_fronts(NSGA_BLOCKS[name])) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +583,17 @@ def test_novelty_scores_pool_smaller_than_k_uses_all():
     pheno = np.array([[0.0], [3.0], [9.0]])
     scores = novelty_scores(pheno, [], 15)
     assert scores[0] == pytest.approx((3.0 + 9.0) / 2)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_BLOCKS))
+@pytest.mark.parametrize("archive_rows", [0, 1, 9])
+def test_novelty_scores_equal_the_cdist_form_bit_for_bit(name, archive_rows):
+    pheno = EXACT_BLOCKS[name]
+    rng = np.random.default_rng(36)
+    archive = [rng.uniform(40.0, 60.0, size=pheno.shape[1]) for _ in range(archive_rows)]
+    archive += [pheno[0].copy()] if archive_rows else []  # a clone in the archive
+    got = novelty_scores(pheno, archive, 15)
+    assert np.array_equal(got, oracle_novelty_scores_cdist(pheno, archive, 15))
 
 
 def test_novelty_archive_threshold_and_burst_raise(monkeypatch):
