@@ -364,21 +364,24 @@ def lexicase_select(pop: Population, n: int, rng: np.random.Generator) -> np.nda
     consecutive cases reads as one mixed-radix number per row, computed
     for all picks at once by one matrix product. A run lasts while its
     radix product stays below ``_KEY_LIMIT``, where the numbers are exact
-    floats; most populations need one or two runs where filtering case
-    by case needs up to ``D`` passes.
+    floats. Each pass keys one run, and later passes key only the picks
+    still open, those left with more than one candidate. With about 50
+    ranks per column a run covers about 9 cases, so a 100-case population
+    can take 10 or more passes, but the open picks thin out quickly.
     """
     pheno = pop.phenotypes
     dim = pheno.shape[1]
     distinct, inverse = _distinct_rows(pheno)
     orders = rng.permuted(np.tile(np.arange(dim), (n, 1)), axis=1)
-    # alive[i, r] says row r is still a candidate for pick i. Distinct
-    # rows cannot tie on every case, so each pick ends with exactly one
-    # row alive.
-    alive = np.ones((n, distinct.shape[0]), dtype=bool)
+    winner_rows = np.zeros(n, dtype=np.int64)
     if distinct.shape[0] > 1:
         ranks = _trait_ranks(distinct).astype(np.float64)
         radix = ranks.max(axis=1) + 1.0
-        picks = np.arange(n)[:, np.newaxis]
+        # The picks still open, their case orders, and (after the first
+        # pass) alive[i, r], which says row r is still a candidate for
+        # open pick i. Distinct rows cannot tie on every case, so each
+        # pick ends with exactly one row alive.
+        picks = np.arange(n)
         start = 0
         while start < dim:
             # Radix products over each pick's remaining cases. They are
@@ -390,16 +393,19 @@ def lexicase_select(pop: Population, n: int, rng: np.random.Generator) -> np.nda
             # A case's place value is the radix product of the run's
             # later cases; the quotient of exact integers is exact.
             place = spans[:, length - 1:length] / spans[:, :length]
-            weights = np.zeros((n, dim))
-            weights[picks, orders[:, start:start + length]] = place
+            weights = np.zeros((picks.size, dim))
+            rows = np.arange(picks.size)[:, np.newaxis]
+            weights[rows, orders[:, start:start + length]] = place
             keys = weights @ ranks
             if start:
                 keys = np.where(alive, keys, -1.0)
             alive = keys == keys.max(axis=1, keepdims=True)
+            winner_rows[picks] = alive.argmax(axis=1)
             start += length
-            if start < dim and alive.sum(axis=1).max() == 1:
+            still_open = alive.sum(axis=1) > 1
+            if not still_open.any():
                 break
-    winner_rows = alive.argmax(axis=1)
+            picks, orders, alive = picks[still_open], orders[still_open], alive[still_open]
     # Uniform pick among the clones sharing the winning phenotype.
     members_by_row = np.argsort(inverse, kind="stable")
     class_sizes = np.bincount(inverse, minlength=distinct.shape[0])

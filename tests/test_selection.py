@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 from collections import Counter
 
@@ -6,17 +7,22 @@ import pytest
 
 from evodiags import (
     ConfigurationError,
+    DiagnosticKind,
+    MutationParams,
     NoveltyState,
     Population,
     SchemeKind,
     SchemeParams,
+    evaluate_population,
     fitness_sharing_select,
     fresh_scheme_state,
     lexicase_select,
+    mutate_batch,
     nondominated_fronts,
     novelty_scores,
     novelty_select,
     nsga_select,
+    random_genotypes,
     random_select,
     select,
     sharing_kernel,
@@ -31,6 +37,7 @@ from oracles import (
     oracle_dominates,
     oracle_fronts,
     oracle_lexicase,
+    oracle_lexicase_by_case,
     oracle_niche_counts_cdist,
     oracle_novelty_scores,
     oracle_novelty_scores_cdist,
@@ -395,8 +402,45 @@ def test_lexicase_duplicate_case_does_not_change_survivors():
     assert full_a == full_b == {0, 1, 2}
 
 
+def lexicase_against_oracle(pheno, n, seed):
+    """Check lexicase_select's picks against the case-by-case oracle on
+    the same stream (the case orders, then one draw per pick), and return
+    how many cases each pick used."""
+    got = lexicase_select(make_pop(pheno), n, np.random.default_rng(seed))
+    stream = np.random.default_rng(seed)
+    orders = stream.permuted(np.tile(np.arange(pheno.shape[1]), (n, 1)), axis=1)
+    draws = stream.random(n)
+    picks, cases_used = oracle_lexicase(pheno.tolist(), orders, draws)
+    assert got.tolist() == picks
+    return cases_used
+
+
+def near_tie_block(rng, top, keep_parent):
+    """48 x 100 rows: 40 rows whose columns each hold the levels 0..39 in
+    a random order, ``top`` one- or two-step mutants of a parent at level
+    41 everywhere (the first of them the parent itself if
+    ``keep_parent``), and clones of the low rows. Each column holds 41 or
+    42 values, so one exact key covers 9 cases, while the mutants tie on
+    every case but the one or two each lost."""
+    dim = 100
+    below = rng.permuted(np.tile(np.arange(40.0), (dim, 1)), axis=1).T
+    block = np.full((top, dim), 41.0)
+    for row in block[int(keep_parent):]:
+        lost = rng.choice(dim, size=int(rng.integers(1, 3)), replace=False)
+        row[lost] -= rng.integers(1, 3, size=lost.size)
+    clones = below[rng.integers(0, len(below), size=8 - top)]
+    return rng.permutation(np.vstack([below, block, clones]))
+
+
+def key_cases(pheno):
+    """The fewest and the most cases one exact float key can cover: how
+    many of the largest, and of the smallest, column radices (distinct
+    values per column) multiply to less than 2**53."""
+    radix = np.sort([len(np.unique(column)) for column in pheno.T]).astype(np.float64)
+    return tuple(int((np.cumprod(r) < 2.0 ** 53).sum()) for r in (radix[::-1], radix))
+
+
 def test_lexicase_matches_case_by_case_oracle():
-    # Same stream as the scheme: the case orders, then one draw per pick.
     # The populations cover clones, exact ties, -0.0 against 0.0, more
     # distinct trait values than one exact float key holds, and one-step
     # mutants of a single parent, which tie on all cases but one.
@@ -414,13 +458,37 @@ def test_lexicase_matches_case_by_case_oracle():
             levels = rng.integers(0, 3, size=(max(1, size // 3), dim)) * 0.5
             pheno = levels[rng.integers(0, len(levels), size=size)]
             pheno[pheno == 0.0] = rng.choice([0.0, -0.0], size=(pheno == 0.0).sum())
-        n = int(rng.integers(1, 50))
-        seed = int(rng.integers(1 << 32))
-        got = lexicase_select(make_pop(pheno), n, np.random.default_rng(seed))
-        stream = np.random.default_rng(seed)
-        orders = stream.permuted(np.tile(np.arange(dim), (n, 1)), axis=1)
-        draws = stream.random(n)
-        assert got.tolist() == oracle_lexicase(pheno.tolist(), orders, draws)
+        lexicase_against_oracle(pheno, int(rng.integers(1, 50)), int(rng.integers(1 << 32)))
+    # Near ties on many-valued columns, where picks settle over several
+    # passes: some within the first key, some still open after two.
+    settled_in_first_key = open_after_two_keys = 0
+    for trial in range(12):
+        pheno = near_tie_block(rng, top=(2, 4, 8)[trial % 3], keep_parent=trial % 2 == 1)
+        fewest, most = key_cases(pheno)
+        assert fewest == most == 9
+        cases_used = lexicase_against_oracle(pheno, 64, int(rng.integers(1 << 32)))
+        settled_in_first_key += sum(used <= fewest for used in cases_used)
+        open_after_two_keys += sum(used > 2 * most for used in cases_used)
+    assert settled_in_first_key >= 10
+    assert open_after_two_keys >= 10
+
+
+def test_lexicase_matches_numpy_oracle_at_headline_scale():
+    # A valley-crossing population at 512 x 100 evolving under lexicase:
+    # after a few generations its columns hold about 50 values, so one
+    # key covers about 9 cases and picks settle over many passes.
+    rng = np.random.default_rng(29)
+    diagnostic = DiagnosticKind.VALLEY_CROSSING
+    pop = evaluate_population(random_genotypes(512, 100, 0.0, 1.0, rng), diagnostic)
+    for _ in range(8):
+        stream = copy.deepcopy(rng)
+        parents = lexicase_select(pop, 512, rng)
+        orders = stream.permuted(np.tile(np.arange(100), (512, 1)), axis=1)
+        draws = stream.random(512)
+        assert np.array_equal(parents, oracle_lexicase_by_case(pop.phenotypes, orders, draws))
+        assert rng.bit_generator.state == stream.bit_generator.state
+        offspring = mutate_batch(pop.genotypes[parents], MutationParams(), rng)
+        pop = evaluate_population(offspring, diagnostic)
 
 
 def test_lexicase_single_improvement_wins_among_many_one_step_losses():
