@@ -309,9 +309,10 @@ def analyze(
     """Compare schemes per diagnostic on an end-of-run metric.
 
     The metric is taken from each replicate CSV's final row; the valley
-    metric's "none" cells rank below every reached valley (as -1).
-    Unparseable files are listed, skipped, and turn the exit code
-    nonzero.
+    metric's "none" cells rank below every reached valley (as -1). A
+    diagnostic with fewer than two schemes or three values in all is
+    skipped. Unparseable files are listed, skipped, and turn the exit
+    code nonzero.
     """
     if metric not in _METRIC_COLUMNS:
         print(f"error: unknown metric {metric!r}; choices: "
@@ -342,6 +343,9 @@ def analyze(
         per_scheme = grouped[diagnostic]
         if len(per_scheme) < 2:
             print(f"{diagnostic}: fewer than two schemes, skipping")
+            continue
+        if sum(map(len, per_scheme.values())) < 3:
+            print(f"{diagnostic}: fewer than three values, skipping")
             continue
         schemes = sorted(per_scheme)
         h_stat, omnibus_p = kruskal_wallis([per_scheme[s] for s in schemes])

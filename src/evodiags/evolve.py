@@ -15,10 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigurationError, MutationParams, mutate_batch, random_genotypes
+from .core import (
+    ConfigurationError, MutationParams, _check_init_range, mutate_batch, random_genotypes)
 from .diagnostics import DiagnosticKind, evaluate_population
 from .metrics import GenerationRecord, best_index, has_satisfactory_solution, snapshot
-from .selection import SchemeParams, fresh_scheme_state, select
+from .selection import SchemeKind, SchemeParams, fresh_scheme_state, select
 
 BOUNDS_CHECK_STRIDE = 1000
 
@@ -40,15 +41,17 @@ class ReplicateConfig:
     include_archive: bool = False
 
     def __post_init__(self) -> None:
-        # An unknown name raises here, not mid-run.
+        # A bad setting raises here, not mid-run.
         self.diagnostic = DiagnosticKind(self.diagnostic)
         if self.pop_size < 1:
             raise ConfigurationError(f"pop_size must be >= 1, got {self.pop_size}")
         if self.generations < 1:
             raise ConfigurationError(
                 f"generations must be >= 1, got {self.generations}")
-        if self.dim < 1:
-            raise ConfigurationError(f"dim must be >= 1, got {self.dim}")
+        _check_init_range(self.dim, self.init_lo, self.init_hi)
+        if self.scheme.scheme is SchemeKind.TRUNCATION and self.scheme.tr > self.pop_size:
+            raise ConfigurationError(
+                f"tr={self.scheme.tr} exceeds population size {self.pop_size}")
         if self.record_stride < 1:
             raise ConfigurationError(
                 f"record_stride must be >= 1, got {self.record_stride}")

@@ -181,13 +181,15 @@ def write_records_csv(path, records: Sequence[GenerationRecord]) -> None:
 def read_records_csv(path) -> list[GenerationRecord]:
     """Parse a record CSV back to the exact records that produced it.
 
-    A wrong header, a row of the wrong length or a cell its column cannot
-    parse raises ValueError.
+    A missing or wrong header, a row of the wrong length or a cell its
+    column cannot parse raises ValueError.
     """
     records = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: no header line")
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
         for row in reader:

@@ -19,10 +19,10 @@ threshold ``pmin`` is calibrated in raw units.
 
 Every population-by-population distance block equals the one
 ``scipy.spatial.distance.cdist`` gives, bit for bit, but computes each
-pair once (``pdist``). Phenotypes repeat, so phenotypic sharing computes
-its kernel over the distinct rows when at most half the rows are
-distinct, and nsga always does; the C-ordered gather back keeps every
-row sum's bits.
+pair once (``pdist``). Fitness sharing and nsga compute the sharing
+kernel over the distinct rows only, and both take their niche counts
+from it by one rule, :func:`_clone_counts`, which keeps every count's
+bits.
 """
 
 from __future__ import annotations
@@ -226,12 +226,20 @@ def _sharing_block(
     return _pair_block(rows, lambda d: sharing_kernel(d / scale, sigma, alpha))
 
 
+def _clone_counts(kernel: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Niche counts of the members whose distinct rows of ``kernel`` are
+    ``rows``: each member's kernel sum over all members, floored at 1.
+
+    Row a of the C-ordered gather holds, in member order and in one
+    contiguous row, the terms of every member whose distinct row is a,
+    so each count adds the values the block over all members would, in
+    the same order, to the same bits; a column-major gather does not.
+    """
+    return np.maximum(np.take(kernel, rows, axis=1).sum(axis=1), 1.0)[rows]
+
+
 def niche_counts(
-    points: np.ndarray,
-    sigma: float,
-    alpha: float,
-    normalize: bool = True,
-    dedup: bool = True,
+    points: np.ndarray, sigma: float, alpha: float, normalize: bool = True
 ) -> np.ndarray:
     """Per-row sum of the sharing kernel over all rows (self included).
 
@@ -239,23 +247,12 @@ def niche_counts(
     self term contributes 1, so counts are always >= 1; with sharing
     disabled (sigma 0) every count is exactly 1.
 
-    The kernel block equals the one computed from ``cdist(points,
-    points)`` bit for bit, with each pair computed once. With ``dedup``
-    (for phenotypes; genotypes rarely repeat), a block with at most half
-    its rows distinct is computed over the distinct rows and gathered
-    back in C order. The counts are the same bits either way.
+    The counts equal the row sums of the kernel of ``cdist(points,
+    points)`` bit for bit. The kernel is computed over the distinct rows
+    only, each pair once.
     """
-    if dedup:
-        distinct, inverse = _distinct_rows(points)
-        # Below half, the block over the distinct rows and its gather
-        # cost less than the block over all rows.
-        if 2 * distinct.shape[0] <= points.shape[0]:
-            # Clones share a row sum. Row a of this C-ordered gather
-            # holds, in order, the terms of each full-block row whose
-            # distinct row is a.
-            kernel = np.take(_sharing_block(distinct, sigma, alpha, normalize), inverse, axis=1)
-            return np.maximum(kernel.sum(axis=1), 1.0)[inverse]
-    return np.maximum(_sharing_block(points, sigma, alpha, normalize).sum(axis=1), 1.0)
+    distinct, inverse = _distinct_rows(points)
+    return _clone_counts(_sharing_block(distinct, sigma, alpha, normalize), inverse)
 
 
 def fitness_sharing_select(
@@ -266,12 +263,10 @@ def fitness_sharing_select(
     n: int,
     rng: np.random.Generator,
     normalize: bool = True,
-    dedup: bool = True,
 ) -> np.ndarray:
     """Divide each fitness by its niche count among ``points`` (the
-    population's genotypes or phenotypes), then stochastic remainder.
-    ``dedup`` is :func:`niche_counts`'."""
-    m = niche_counts(points, sigma, alpha, normalize, dedup)
+    population's genotypes or phenotypes), then stochastic remainder."""
+    m = niche_counts(points, sigma, alpha, normalize)
     return stochastic_remainder(pop.total_fitness / m, n, rng)
 
 
@@ -465,8 +460,8 @@ def nsga_front_assignment(
     fitness of the front before it, preserving strict cross-front
     ordering. Sharing uses phenotypic similarity restricted to same-front
     members: one kernel block over the distinct rows serves every front,
-    and each front's niche counts are the row sums of its C-ordered
-    gather, the bits :func:`niche_counts` gives on the front alone.
+    and each front's niche counts are :func:`_clone_counts` of its
+    members, the bits :func:`niche_counts` gives on the front alone.
     Returns the shared fitness of every row.
     """
     pheno = np.asarray(phenotypes, dtype=np.float64)
@@ -475,9 +470,7 @@ def nsga_front_assignment(
     shared = np.empty(pheno.shape[0], dtype=np.float64)
     dummy = float(pheno.shape[0])
     for front in _fronts(distinct, inverse):
-        rows = inverse[front]
-        counts = np.maximum(kernel[rows[:, np.newaxis], rows].sum(axis=1), 1.0)
-        shared[front] = dummy / counts
+        shared[front] = dummy / _clone_counts(kernel, inverse[front])
         dummy = _FRONT_DECAY * shared[front].min()
     return shared
 
@@ -574,7 +567,7 @@ SCHEMES = {
     SchemeKind.SHARING_GENOTYPIC: Scheme(
         lambda pop, state, n, rng: fitness_sharing_select(
             pop, pop.genotypes, state.params.sigma, state.params.alpha, n, rng,
-            state.params.normalize_distance, dedup=False),
+            state.params.normalize_distance),
         "fitness divided by genotypic niche count, stochastic remainder"),
     SchemeKind.SHARING_PHENOTYPIC: Scheme(
         lambda pop, state, n, rng: fitness_sharing_select(

@@ -27,26 +27,19 @@ SIGNIFICANCE_LEVEL: float = 0.05
 EXACT_ENUMERATION_LIMIT: int = 12
 
 
+def _ranks_and_ties(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Midranks 1..n of ``values``, ties assigned the mean of their rank
+    span, and the tie term: the sum of t**3 - t over tie groups of size
+    t, which is 0 exactly when no two values tie."""
+    _, inverse, counts = np.unique(
+        values, return_inverse=True, return_counts=True, equal_nan=False)
+    t = counts.astype(np.float64)
+    return (np.cumsum(t) - (t - 1.0) / 2.0)[inverse], float((t ** 3 - t).sum())
+
+
 def midranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties assigned the mean of their rank span."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
-def _tie_term(values: np.ndarray) -> float:
-    """Sum of t**3 - t over tie groups of size t."""
-    _, counts = np.unique(values, return_counts=True)
-    return float((counts.astype(np.float64) ** 3 - counts).sum())
+    return _ranks_and_ties(np.asarray(values, dtype=np.float64))[0]
 
 
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
@@ -65,7 +58,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     n_total = len(pooled)
     if n_total < 3:
         raise ValueError("kruskal_wallis needs at least three observations")
-    ranks = midranks(pooled)
+    ranks, tie_term = _ranks_and_ties(pooled)
     h = 0.0
     offset = 0
     for arr in arrays:
@@ -73,7 +66,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
         h += r.sum() ** 2 / len(arr)
         offset += len(arr)
     h = 12.0 / (n_total * (n_total + 1)) * h - 3.0 * (n_total + 1)
-    correction = 1.0 - _tie_term(pooled) / (n_total ** 3 - n_total)
+    correction = 1.0 - tie_term / (n_total ** 3 - n_total)
     if correction <= 0.0:
         return 0.0, 1.0  # every observation identical
     h /= correction
@@ -102,13 +95,12 @@ def wilcoxon_rank_sum(
         raise ValueError("both samples must be non-empty")
     n_a, n_b = len(a), len(b)
     pooled = np.concatenate([a, b])
-    ranks = midranks(pooled)
+    ranks, tie_term = _ranks_and_ties(pooled)
     u_stat = float(ranks[:n_a].sum() - n_a * (n_a + 1) / 2.0)
-    tie_free = len(np.unique(pooled)) == len(pooled)
-    if tie_free and n_a + n_b <= EXACT_ENUMERATION_LIMIT:
+    if tie_term == 0.0 and n_a + n_b <= EXACT_ENUMERATION_LIMIT:
         p = _exact_rank_sum_p(u_stat, n_a, n_b, alternative)
     else:
-        p = _normal_rank_sum_p(u_stat, n_a, n_b, pooled, alternative)
+        p = _normal_rank_sum_p(u_stat, n_a, n_b, tie_term, alternative)
     return u_stat, p
 
 
@@ -129,11 +121,11 @@ def _exact_rank_sum_p(u_obs: float, n_a: int, n_b: int, alternative: str) -> flo
 
 
 def _normal_rank_sum_p(
-    u_obs: float, n_a: int, n_b: int, pooled: np.ndarray, alternative: str
+    u_obs: float, n_a: int, n_b: int, tie_term: float, alternative: str
 ) -> float:
     n = n_a + n_b
     mean_u = n_a * n_b / 2.0
-    var_u = n_a * n_b / 12.0 * ((n + 1) - _tie_term(pooled) / (n * (n - 1)))
+    var_u = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if var_u <= 0.0:
         return 1.0  # all observations tied
     sd = np.sqrt(var_u)

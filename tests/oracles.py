@@ -151,6 +151,24 @@ def oracle_lexicase_by_case(phenotypes, case_orders, draws):
     return (np.cumsum(alive, axis=1) > slot[:, np.newaxis]).argmax(axis=1)
 
 
+def oracle_midranks_and_tie_term(values):
+    """Midranks 1..n, ties sharing the mean of their rank span, and the
+    sum of t**3 - t over tie groups of size t."""
+    ordered = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = [0.0] * len(values)
+    tie_term = 0.0
+    i = 0
+    while i < len(ordered):
+        j = i
+        while j + 1 < len(ordered) and values[ordered[j + 1]] == values[ordered[i]]:
+            j += 1
+        for k in ordered[i:j + 1]:
+            ranks[k] = (i + j) / 2.0 + 1.0
+        tie_term += float(j - i + 1) ** 3 - (j - i + 1)
+        i = j + 1
+    return ranks, tie_term
+
+
 def oracle_niche_counts_cdist(points, sigma, alpha, normalize=True):
     """Per-row sums of the sharing kernel over ``cdist(points, points)``,
     distances scaled by the diameter ``100 * sqrt(D)`` when normalizing."""

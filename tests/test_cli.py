@@ -272,10 +272,13 @@ def test_analyze_skips_and_reports_bad_files(tmp_path, capsys):
         "random": [1.0, 2.0, 3.0]})
     bad = out / replicate_filename("exploitation-rate", "lexicase", 0)
     bad.write_text("not,a,metrics,file\n1,2,3,4\n")
+    # An interrupted run leaves an empty file behind.
+    empty = out / replicate_filename("exploitation-rate", "nsga", 0)
+    empty.write_text("")
     code = analyze(str(out), metric="best_performance")
     assert code == 2
     err = capsys.readouterr().err
-    assert "lexicase" in err
+    assert bad.name in err and empty.name in err
 
 
 @pytest.mark.parametrize("bad_row", [
@@ -294,6 +297,14 @@ def test_analyze_lists_a_replicate_with_a_bad_row(tmp_path, capsys, bad_row):
         read_records_csv(bad)
     assert analyze(str(out), metric="best_performance") == 2
     assert bad.name in capsys.readouterr().err
+
+
+def test_analyze_skips_a_diagnostic_with_fewer_than_three_values(tmp_path, capsys):
+    out = tmp_path / "res"
+    write_synthetic_results(out, {"truncation": [10.0], "random": [1.0]})
+    assert analyze(str(out), metric="best_performance") == 0
+    assert "fewer than three values" in capsys.readouterr().out
+    assert len((out / "comparisons.csv").read_text().splitlines()) == 1
 
 
 def test_analyze_rejects_unknown_metric(tmp_path):
@@ -341,6 +352,22 @@ def test_main_run_and_analyze_end_to_end(tmp_path):
 
 def test_main_config_error_exit_code():
     assert main(["run", "--diagnostic", "nosuch", "--output-dir", "/tmp/x"]) == 1
+
+
+@pytest.mark.parametrize("settings", [
+    "pop_size = 4\n",  # truncation's tr of 8 exceeds the population
+    "init_lo = 50\ninit_hi = 150\n",  # the range leaves the gene range
+], ids=["tr", "init-range"])
+def test_main_rejects_bad_settings_before_any_replicate(tmp_path, settings):
+    path = tmp_path / "run.cfg"
+    path.write_text(settings)
+    out = tmp_path / "grid"
+    code = main([
+        "run", "--config", str(path), "--scheme", "random", "--scheme", "truncation",
+        "--replicates", "1", "--generations", "5", "--dim", "4",
+        "--output-dir", str(out), "--workers", "2"])
+    assert code == 1
+    assert not list(out.glob("*.csv"))
 
 
 def test_main_describe_subcommand(capsys):

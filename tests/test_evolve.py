@@ -141,3 +141,10 @@ def test_replicate_config_validation():
         config(generations=0)
     with pytest.raises(ConfigurationError):
         config(record_stride=0)
+
+
+def test_replicate_config_rejects_what_would_fail_mid_run():
+    with pytest.raises(ConfigurationError, match="tr=8"):
+        config(scheme=SchemeKind.TRUNCATION, pop_size=4)
+    with pytest.raises(ConfigurationError, match="initialization range"):
+        config(init_lo=1.0, init_hi=1.0)

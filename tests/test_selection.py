@@ -275,16 +275,18 @@ EXACT_BLOCKS = {
 
 @pytest.mark.parametrize("name", sorted(EXACT_BLOCKS))
 @pytest.mark.parametrize("sigma, normalize", [(0.3, True), (0.0, True), (40.0, False)])
-@pytest.mark.parametrize("dedup", [True, False])
-def test_niche_counts_equal_the_cdist_form_bit_for_bit(name, sigma, normalize, dedup):
+@pytest.mark.parametrize("fortran", [True, False])
+def test_niche_counts_equal_the_cdist_form_bit_for_bit(name, sigma, normalize, fortran):
+    # The input's memory layout changes no bit.
     points = EXACT_BLOCKS[name]
-    got = niche_counts(points, sigma, 1.0, normalize, dedup)
-    assert np.array_equal(got, oracle_niche_counts_cdist(points, sigma, 1.0, normalize))
+    expected = oracle_niche_counts_cdist(points, sigma, 1.0, normalize)
+    if fortran:
+        points = np.asfortranarray(points)
+    assert np.array_equal(niche_counts(points, sigma, 1.0, normalize), expected)
 
 
-def test_half_distinct_rule_sides(monkeypatch):
-    # At most half the rows distinct: the kernel block covers only the
-    # distinct rows, -0.0 and 0.0 being one value.
+def test_kernel_block_covers_only_the_distinct_rows(monkeypatch):
+    # Whatever the share of distinct rows, -0.0 and 0.0 being one value.
     block_rows = []
     sharing_block = selection._sharing_block
 
@@ -295,8 +297,7 @@ def test_half_distinct_rule_sides(monkeypatch):
     monkeypatch.setattr(selection, "_sharing_block", spy)
     for name in ["half-distinct", "half-plus-one-distinct", "signed-zeros"]:
         niche_counts(EXACT_BLOCKS[name], 0.3, 1.0)
-    niche_counts(EXACT_BLOCKS["half-distinct"], 0.3, 1.0, dedup=False)
-    assert block_rows == [32, 64, 3, 64]
+    assert block_rows == [32, 33, 3]
 
 
 def test_fortran_ordered_gather_changes_the_row_sums():

@@ -6,9 +6,23 @@ from evodiags import bonferroni, kruskal_wallis, wilcoxon_rank_sum
 from evodiags import stats
 from evodiags.stats import midranks
 
+from oracles import oracle_midranks_and_tie_term
+
 
 def test_midranks_with_ties():
     assert list(midranks(np.array([10.0, 20.0, 20.0, 30.0]))) == [1.0, 2.5, 2.5, 4.0]
+
+
+def test_ranks_and_tie_term_equal_the_loop_oracle():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        values = rng.integers(-3, 4, n) * 0.5
+        values[rng.random(n) < 0.2] = -0.0  # ties with 0.0
+        ranks, tie_term = stats._ranks_and_ties(values)
+        expected_ranks, expected_term = oracle_midranks_and_tie_term(values.tolist())
+        assert ranks.tolist() == expected_ranks
+        assert tie_term == expected_term
 
 
 def test_kruskal_wallis_three_group_example():
