@@ -19,10 +19,10 @@ threshold ``pmin`` is calibrated in raw units.
 
 Every population-by-population distance block equals the one
 ``scipy.spatial.distance.cdist`` gives, bit for bit, but computes each
-pair once (``pdist``). Fitness sharing and nsga compute the sharing
-kernel over the distinct rows only, and both take their niche counts
-from it by one rule, :func:`_clone_counts`, which keeps every count's
-bits.
+pair once (``pdist``). Those blocks and novelty's archive block cover
+only the distinct rows, grouped for every scheme by one hashed rule,
+:func:`_distinct_rows`. Sharing and nsga take niche counts by
+:func:`_clone_counts`; novelty gathers distances back per member.
 """
 
 from __future__ import annotations
@@ -309,16 +309,30 @@ def stochastic_remainder(
 _KEY_LIMIT = 2.0 ** 53
 
 
+def _hash_multipliers(dim: int) -> np.ndarray:
+    """The row hash's fixed odd 64-bit multipliers: splitmix64 of each column index."""
+    z = np.arange(1, dim + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))) | np.uint64(1)
+
+
 def _distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a float block and each row's index among them.
 
     Rows compare as floats: adding 0.0 turns -0.0 into 0.0, after which
-    byte equality of two rows is float equality.
+    byte equality of two rows is float equality. Rows group by a hash of
+    their words, checked byte for byte, or on a collision by a sort. No
+    output depends on the order of the groups: callers read per member.
     """
     rows = np.ascontiguousarray(values, dtype=np.float64) + 0.0
-    packed = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-    distinct, inverse = np.unique(packed.ravel(), return_inverse=True)
-    return distinct.view(np.float64).reshape(-1, rows.shape[1]), inverse
+    words = rows.view(np.uint64)
+    # Round values such as 1.0 have zero low words, and products carry no bit down.
+    hashes = (words ^ (words >> np.uint64(32))) @ _hash_multipliers(rows.shape[1])
+    _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
+    if (words[first[inverse]] == words).all():
+        return rows[first], inverse
+    return np.unique(rows, axis=0, return_inverse=True)
 
 
 def _trait_ranks(values: np.ndarray) -> np.ndarray:
@@ -426,11 +440,11 @@ def _fronts(distinct: np.ndarray, inverse: np.ndarray) -> list[np.ndarray]:
     Identical rows always share a front, so the fronts are peeled over
     the distinct rows and then expanded back to row indices in order.
     """
-    # ge[i, j]: distinct row i is at least as good as row j everywhere.
-    ge = np.ones((distinct.shape[0],) * 2, dtype=bool)
+    # dom[i, j]: row i dominates row j; for distinct rows, >= everywhere suffices off the diagonal.
+    dom = np.ones((distinct.shape[0],) * 2, dtype=bool)
     for column in _trait_ranks(distinct):
-        ge &= column[:, np.newaxis] >= column
-    dom = ge & ~ge.T  # dom[i, j]: distinct row i dominates row j
+        dom &= column[:, np.newaxis] >= column
+    np.fill_diagonal(dom, False)
     dominator_count = dom.sum(axis=0)
     front_of = np.empty(distinct.shape[0], dtype=np.int64)
     assigned = np.zeros(distinct.shape[0], dtype=bool)
@@ -501,14 +515,19 @@ def novelty_scores(
     The neighbor pool is the current population plus the archive; each
     member is excluded from its own pool exactly once, but other members
     at distance zero still count. Pools smaller than k average over every
-    available neighbor; an empty pool scores 0.
+    available neighbor; an empty pool scores 0. Both blocks cover only
+    the distinct rows, gathered back per member, so the partition and
+    the mean see the values and order of the blocks over all members.
     """
     pheno = np.asarray(phenotypes, dtype=np.float64)
     n = pheno.shape[0]
-    # The block equals cdist(pheno, vstack([pheno, archive])) bit for bit.
-    dists = _pair_block(pheno, np.asarray)
+    distinct, inverse = _distinct_rows(pheno)
+    # The block equals cdist(distinct, vstack([distinct, archive])) bit for bit.
+    dists = _pair_block(distinct, np.asarray)
     if len(archive):
-        dists = np.hstack([dists, cdist(pheno, np.asarray(archive, dtype=np.float64))])
+        dists = np.hstack([dists, cdist(distinct, np.asarray(archive, dtype=np.float64))])
+    columns = np.concatenate([inverse, np.arange(len(distinct), dists.shape[1])])
+    dists = dists.take(columns, axis=1)[inverse]
     available = dists.shape[1] - 1
     if available < 1:
         return np.zeros(n, dtype=np.float64)

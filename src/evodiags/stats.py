@@ -37,11 +37,6 @@ def _ranks_and_ties(values: np.ndarray) -> tuple[np.ndarray, float]:
     return (np.cumsum(t) - (t - 1.0) / 2.0)[inverse], float((t ** 3 - t).sum())
 
 
-def midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties assigned the mean of their rank span."""
-    return _ranks_and_ties(np.asarray(values, dtype=np.float64))[0]
-
-
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     """Omnibus rank test across two or more groups.
 

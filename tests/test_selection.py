@@ -655,14 +655,80 @@ def test_novelty_scores_pool_smaller_than_k_uses_all():
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_BLOCKS))
-@pytest.mark.parametrize("archive_rows", [0, 1, 9])
-def test_novelty_scores_equal_the_cdist_form_bit_for_bit(name, archive_rows):
+@pytest.mark.parametrize("archive_rows, fortran", [
+    pytest.param(rows, fortran, id=f"{rows}-fortran" if fortran else str(rows))
+    for fortran in (False, True) for rows in (0, 1, 9)])
+def test_novelty_scores_equal_the_cdist_form_bit_for_bit(name, archive_rows, fortran):
+    # The input's memory layout changes no bit.
     pheno = EXACT_BLOCKS[name]
     rng = np.random.default_rng(36)
     archive = [rng.uniform(40.0, 60.0, size=pheno.shape[1]) for _ in range(archive_rows)]
     archive += [pheno[0].copy()] if archive_rows else []  # a clone in the archive
-    got = novelty_scores(pheno, archive, 15)
-    assert np.array_equal(got, oracle_novelty_scores_cdist(pheno, archive, 15))
+    expected = oracle_novelty_scores_cdist(pheno, archive, 15)
+    if fortran:
+        pheno = np.asfortranarray(pheno)
+    assert np.array_equal(novelty_scores(pheno, archive, 15), expected)
+
+
+def test_novelty_blocks_cover_only_the_distinct_rows(monkeypatch):
+    # The population block and the archive block alike.
+    block_rows = []
+    pair_block, archive_block = selection._pair_block, selection.cdist
+
+    def spy_pairs(rows, *args):
+        block_rows.append(rows.shape[0])
+        return pair_block(rows, *args)
+
+    def spy_archive(rows, archive):
+        block_rows.append(rows.shape[0])
+        return archive_block(rows, archive)
+
+    monkeypatch.setattr(selection, "_pair_block", spy_pairs)
+    monkeypatch.setattr(selection, "cdist", spy_archive)
+    for name in ["half-distinct", "half-plus-one-distinct", "signed-zeros"]:
+        pheno = EXACT_BLOCKS[name]
+        novelty_scores(pheno, [pheno[0] + 1.0], 15)
+    assert block_rows == [32, 32, 33, 33, 3, 3]
+
+
+# 0/1 rows, some repeated: every word is zero below its top 12 bits.
+ROUND_ROWS = (clustered_rows(256, 200, 32, seed=38) >= 50.0).astype(np.float64)
+HASHED_BLOCKS = {**EXACT_BLOCKS, "round-valued": ROUND_ROWS}
+
+
+def test_round_valued_rows_group_by_the_hash(monkeypatch):
+    # Hashing the words unfolded, these rows collide and every call
+    # falls back to the sort.
+    sorts = []
+    unique = np.unique
+
+    def spy(values, *args, **kwargs):
+        sorts.append("axis" in kwargs)
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(selection.np, "unique", spy)
+    distinct, inverse = selection._distinct_rows(ROUND_ROWS)
+    assert sorts == [False]
+    assert np.array_equal(distinct[inverse], ROUND_ROWS)
+    assert len(distinct) == len({tuple(row) for row in ROUND_ROWS})
+
+
+@pytest.mark.parametrize("name", sorted(HASHED_BLOCKS))
+def test_hash_collisions_fall_back_to_the_sort(monkeypatch, name):
+    # With every row hashing alike, the byte check fails unless all rows
+    # are equal, and the rows are grouped by the sort; no output moves.
+    points = HASHED_BLOCKS[name]
+    archive = [points[0] + 1.0, points[-1].copy()]
+    before = (niche_counts(points, 0.3, 1.0), novelty_scores(points, archive, 15),
+              lexicase_select(make_pop(points), 64, np.random.default_rng(37)))
+    monkeypatch.setattr(selection, "_hash_multipliers", lambda dim: np.zeros(dim, np.uint64))
+    distinct, inverse = selection._distinct_rows(points)
+    assert np.array_equal(distinct[inverse], points + 0.0)
+    assert len(distinct) == len({tuple(row) for row in points})
+    after = (niche_counts(points, 0.3, 1.0), novelty_scores(points, archive, 15),
+             lexicase_select(make_pop(points), 64, np.random.default_rng(37)))
+    for was, now in zip(before, after):
+        assert np.array_equal(was, now)
 
 
 def test_novelty_archive_threshold_and_burst_raise(monkeypatch):
