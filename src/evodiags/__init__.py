@@ -62,7 +62,6 @@ from .selection import (
     fitness_sharing_select,
     fresh_scheme_state,
     lexicase_select,
-    nondominated_fronts,
     novelty_scores,
     novelty_select,
     nsga_select,

@@ -6,8 +6,9 @@ vectorized implementations can be checked against them on enumerated
 inputs. The ``*_cdist`` oracles instead keep the full-matrix
 ``scipy.spatial.distance.cdist`` form of a distance computation, so that
 a faster form can be checked against it bit for bit, and
-``oracle_lexicase_by_case`` filters case by case in numpy, fast enough
-for populations at the paper's scale.
+``oracle_lexicase_by_case`` filters case by case in numpy, and
+``oracle_fronts_dense`` tests every pair on every objective, both fast
+enough for populations at the paper's scale.
 """
 
 from __future__ import annotations
@@ -94,6 +95,30 @@ def oracle_fronts(phenotypes):
         fronts.append(sorted(front))
         remaining = [i for i in remaining if i not in front]
     return fronts
+
+
+def oracle_fronts_dense(distinct, inverse):
+    """The fronts of the rows ``distinct[inverse]`` from the full
+    dominance block: every pair of distinct rows is tested on every
+    objective, and each front's members are subtracted from the
+    dominator counts with a dense row sum."""
+    distinct = np.asarray(distinct, dtype=np.float64)
+    dom = np.ones((len(distinct),) * 2, dtype=bool)
+    for column in distinct.T:
+        dom &= column[:, np.newaxis] >= column
+    np.fill_diagonal(dom, False)
+    dominator_count = dom.sum(axis=0)
+    front_of = np.empty(len(distinct), dtype=np.int64)
+    assigned = np.zeros(len(distinct), dtype=bool)
+    n_fronts = 0
+    while not assigned.all():
+        current = np.flatnonzero((dominator_count == 0) & ~assigned)
+        front_of[current] = n_fronts
+        n_fronts += 1
+        assigned[current] = True
+        dominator_count = dominator_count - dom[current].sum(axis=0)
+    row_front = front_of[np.asarray(inverse)]
+    return [np.flatnonzero(row_front == k) for k in range(n_fronts)]
 
 
 def oracle_novelty_scores(phenotypes, archive, k):

@@ -18,7 +18,6 @@ from evodiags import (
     fresh_scheme_state,
     lexicase_select,
     mutate_batch,
-    nondominated_fronts,
     novelty_scores,
     novelty_select,
     nsga_select,
@@ -36,6 +35,7 @@ from evodiags.selection import niche_counts, nsga_front_assignment
 from oracles import (
     oracle_dominates,
     oracle_fronts,
+    oracle_fronts_dense,
     oracle_lexicase,
     oracle_lexicase_by_case,
     oracle_niche_counts_cdist,
@@ -51,9 +51,14 @@ def make_pop(phenotypes, genotypes=None):
     return Population(geno, pheno, pheno.sum(axis=1))
 
 
+def fronts_of(phenotypes):
+    """The nondominated fronts of a block's rows, front 0 first."""
+    return selection._fronts(*selection._distinct_rows(phenotypes))
+
+
 def dominates(x, y):
     """Whether x dominates y, read off the fronts of the two-row block."""
-    fronts = nondominated_fronts(np.array([x, y], dtype=np.float64))
+    fronts = fronts_of(np.array([x, y], dtype=np.float64))
     return [f.tolist() for f in fronts] == [[0], [1]]
 
 
@@ -519,20 +524,20 @@ def test_dominates_basic_cases():
 
 
 def test_fronts_single_front_when_incomparable():
-    fronts = nondominated_fronts(np.diag([3.0, 2.0, 1.0]))
+    fronts = fronts_of(np.diag([3.0, 2.0, 1.0]))
     assert len(fronts) == 1
     assert sorted(fronts[0]) == [0, 1, 2]
 
 
 def test_fronts_chain_gives_singletons():
     pheno = np.array([[4.0, 4.0], [3.0, 3.0], [2.0, 2.0], [1.0, 1.0]])
-    fronts = nondominated_fronts(pheno)
+    fronts = fronts_of(pheno)
     assert [list(f) for f in fronts] == [[0], [1], [2], [3]]
 
 
 def test_fronts_mixed_example():
     pheno = np.array([[3.0, 1.0], [1.0, 3.0], [2.0, 2.0], [1.0, 1.0], [0.0, 2.0]])
-    fronts = nondominated_fronts(pheno)
+    fronts = fronts_of(pheno)
     assert sorted(fronts[0]) == [0, 1, 2]
     assert sorted(fronts[1]) == [3, 4]
 
@@ -543,7 +548,7 @@ def test_fronts_match_brute_force_on_random_grids():
         n = rng.integers(2, 9)
         d = rng.integers(1, 4)
         pheno = rng.integers(0, 4, size=(n, d)).astype(float)
-        got = [sorted(f.tolist()) for f in nondominated_fronts(pheno)]
+        got = [sorted(f.tolist()) for f in fronts_of(pheno)]
         assert got == oracle_fronts(pheno.tolist())
         for i in range(n):
             for j in range(n):
@@ -572,7 +577,7 @@ def test_nsga_front_fitness_strictly_ordered():
     rng = np.random.default_rng(24)
     pheno = rng.uniform(0, 100, size=(40, 3))
     shared = nsga_front_assignment(pheno, 0.3, 1.0)
-    fronts = nondominated_fronts(pheno)
+    fronts = fronts_of(pheno)
     previous_min = np.inf
     for front in fronts:
         values = shared[front]
@@ -600,14 +605,113 @@ NSGA_BLOCKS = {
 @pytest.mark.parametrize("sigma", [0.3, 0.0])
 def test_nsga_shared_equals_per_front_cdist_bit_for_bit(name, sigma):
     pheno = NSGA_BLOCKS[name]
-    fronts = nondominated_fronts(pheno)
+    fronts = fronts_of(pheno)
     expected = oracle_nsga_shared_cdist(pheno, fronts, sigma, 1.0)
     assert np.array_equal(nsga_front_assignment(pheno, sigma, 1.0), expected)
 
 
 def test_nsga_fixtures_have_one_row_fronts():
     for name in ["chain-of-one-row-fronts", "clones-and-one-row-fronts"]:
-        assert min(len(f) for f in nondominated_fronts(NSGA_BLOCKS[name])) == 1
+        assert min(len(f) for f in fronts_of(NSGA_BLOCKS[name])) == 1
+
+
+def fronts_and_dense_objectives(monkeypatch, pheno):
+    """``_fronts`` of the block, checked against the dense oracle, and
+    how many objectives it tested on the whole block before the pairs.
+
+    A spy on ``np.count_nonzero`` sees one survivor count per
+    ``_DENSE_STRIDE`` objectives tested densely.
+    """
+    distinct, inverse = selection._distinct_rows(pheno)
+    counts = []
+    count_nonzero = np.count_nonzero
+
+    def spy(block, *args, **kwargs):
+        counts.append(block.shape)
+        return count_nonzero(block, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(selection.np, "count_nonzero", spy)
+        fronts = selection._fronts(distinct, inverse)
+    assert counts == [(len(distinct),) * 2] * len(counts)
+    expected = oracle_fronts_dense(distinct, inverse)
+    assert [f.tolist() for f in fronts] == [f.tolist() for f in expected]
+    return fronts, min(selection._DENSE_STRIDE * len(counts), pheno.shape[1])
+
+
+def evolved_under_nsga(diagnostic, seed, generations):
+    """The populations of a 512 x 100 run under nsga, generation 0 first."""
+    rng = np.random.default_rng(seed)
+    pop = evaluate_population(random_genotypes(512, 100, 0.0, 1.0, rng), diagnostic)
+    pops = [pop]
+    for _ in range(generations):
+        parents = nsga_select(pop, 0.3, 1.0, 512, rng)
+        pop = evaluate_population(mutate_batch(pop.genotypes[parents], MutationParams(), rng),
+                                  diagnostic)
+        pops.append(pop)
+    return pops
+
+
+def test_fronts_of_evolved_smooth_populations_switch_to_pairs(monkeypatch):
+    # Valley-crossing: after 8 objectives under 1% of pairs are left.
+    for pop in evolved_under_nsga(DiagnosticKind.VALLEY_CROSSING, 40, 5):
+        _, dense = fronts_and_dense_objectives(monkeypatch, pop.phenotypes)
+        assert dense == selection._DENSE_STRIDE
+
+
+def test_fronts_of_evolved_sparse_populations_stay_dense(monkeypatch):
+    # Contradictory-objectives: most pairs tie at zero on most objectives,
+    # and about 4% of pairs are left after 96.
+    for pop in evolved_under_nsga(DiagnosticKind.CONTRADICTORY_OBJECTIVES, 41, 5):
+        fronts, dense = fronts_and_dense_objectives(monkeypatch, pop.phenotypes)
+        assert dense >= 96
+        assert len(fronts) > 1
+
+
+def chain_block(rng):
+    """96 rows of 21 objectives: a chain of 16 rows beside 80 random rows.
+
+    The chain beats every random row on objective 0 and loses on
+    objective 1, so few pairs are left after 8 objectives, but each
+    chain pair is left up to the last objective. There rows 6 and 7
+    swap, so they share a front, and rows 10 and 11 tie, so they do not.
+    """
+    dim = 21
+    steps = np.arange(16.0, 0.0, -1.0)[:, np.newaxis]
+    chain = np.hstack([200.0 + steps, -100.0 + steps, 40.0 + np.tile(steps, (1, dim - 2))])
+    chain[[6, 7], -1] = chain[[7, 6], -1]
+    chain[11, -1] = chain[10, -1]
+    block = np.vstack([rng.uniform(0.0, 100.0, size=(80, dim)), chain])
+    return block[rng.permutation(96)]
+
+
+def test_fronts_of_a_chain_left_to_the_last_objective(monkeypatch):
+    rng = np.random.default_rng(42)
+    for _ in range(5):
+        fronts, dense = fronts_and_dense_objectives(monkeypatch, chain_block(rng))
+        assert dense == selection._DENSE_STRIDE
+        assert len(fronts) >= 15
+
+
+@pytest.mark.parametrize("dim", [1, 5, 7, 8, 9, 21])
+def test_fronts_when_objectives_are_not_a_multiple_of_the_stride(monkeypatch, dim):
+    rng = np.random.default_rng(43 + dim)
+    # 0/1 rows: about 10% of pairs are left after 8 objectives, 1% after 16.
+    _, dense = fronts_and_dense_objectives(
+        monkeypatch, rng.integers(0, 2, size=(60, dim)).astype(float))
+    assert dense == min(dim, 2 * selection._DENSE_STRIDE)
+    # One nonzero trait per row, as in contradictory-objectives.
+    sparse = np.zeros((64, dim))
+    sparse[np.arange(64), rng.integers(0, dim, 64)] = rng.uniform(1.0, 9.0, 64)
+    fronts_and_dense_objectives(monkeypatch, sparse)
+    # Continuous rows: under 1% of pairs are left after 8 objectives.
+    _, dense = fronts_and_dense_objectives(monkeypatch, rng.uniform(0.0, 1.0, (64, dim)))
+    assert dense == min(dim, selection._DENSE_STRIDE)
+
+
+def test_fronts_of_a_single_distinct_row(monkeypatch):
+    fronts, _ = fronts_and_dense_objectives(monkeypatch, np.full((10, 12), 3.0))
+    assert [f.tolist() for f in fronts] == [list(range(10))]
 
 
 # ---------------------------------------------------------------------------
