@@ -11,7 +11,7 @@ Every function works on whole populations, stored as (N, D) arrays; a
 single genotype is a block of one row, e.g. ``translate(g[None], kind)``.
 
 Modules:
-    core: genome blocks, bounded batch mutation, the frozen population.
+    core: genome blocks, bounded batch mutation, the frozen population, SplitMix64.
     diagnostics: the eight translations, one ``DIAGNOSTICS`` row each
         (``translate``, ``evaluate_population``), and the sawtooth.
     selection: truncation, tournament, fitness sharing (genotypic and

@@ -4,9 +4,11 @@ subcommands.
 ``run`` executes a treatment grid (every configured diagnostic crossed
 with every configured scheme, times the replicate count), writing one
 metrics CSV per replicate plus a JSON manifest of the configuration and
-derived seeds. Replicates are independent and run on a worker pool; each
-owns its seed and output file, so worker scheduling cannot change any
-file's bytes.
+derived seeds (:func:`~evodiags.core.splitmix64` absorbs each
+treatment label). It builds and checks every replicate's config before
+it creates the output directory. Replicates are independent and run on
+a worker pool; each owns its seed and output file, so worker scheduling
+cannot change any file's bytes.
 
 ``analyze`` reads a result directory and, per diagnostic, runs the
 Kruskal-Wallis omnibus across schemes on an end-of-run metric; when the
@@ -14,7 +16,9 @@ omnibus is significant it runs all pairwise rank-sum tests with a
 Bonferroni correction and writes a comparisons CSV.
 
 Configuration files are flat ``key = value`` lines with ``#`` comments;
-command-line flags override file values.
+command-line flags override file values. A replicate-level key's default
+is the one its library dataclass declares (``ReplicateConfig``,
+``SchemeParams`` or ``MutationParams``).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
-from .core import ConfigurationError, MutationParams
+from .core import MASK64, ConfigurationError, MutationParams, splitmix64
 from .diagnostics import DIAGNOSTICS, DiagnosticKind, all_diagnostic_names
 from .evolve import ReplicateConfig, run_replicate
 from .metrics import CSV_HEADER, read_records_csv, write_records_csv
@@ -39,8 +43,6 @@ from .stats import SIGNIFICANCE_LEVEL, bonferroni, kruskal_wallis, wilcoxon_rank
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_IO_ERROR = 2
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass
@@ -54,23 +56,23 @@ class ExperimentConfig:
     replicates: int = 50
     base_seed: int = 1
     output_dir: str = "results"
-    pop_size: int = 512
-    generations: int = 50_000
-    dim: int = 100
-    stride: int = 1
-    mutation_rate: float = 0.007
-    mutation_stddev: float = 1.0
-    init_lo: float = 0.0
-    init_hi: float = 1.0
-    tr: int = 8
-    ts: int = 8
-    sigma: float = 0.3
-    alpha: float = 1.0
-    normalize_sharing: bool = True
-    novelty_k: int = 15
-    pmin: float = 10.0
+    pop_size: int = ReplicateConfig.pop_size
+    generations: int = ReplicateConfig.generations
+    dim: int = ReplicateConfig.dim
+    stride: int = ReplicateConfig.record_stride
+    mutation_rate: float = MutationParams.per_gene_rate
+    mutation_stddev: float = MutationParams.step_stddev
+    init_lo: float = ReplicateConfig.init_lo
+    init_hi: float = ReplicateConfig.init_hi
+    tr: int = SchemeParams.tr
+    ts: int = SchemeParams.ts
+    sigma: float = SchemeParams.sigma
+    alpha: float = SchemeParams.alpha
+    normalize_sharing: bool = SchemeParams.normalize_distance
+    novelty_k: int = SchemeParams.novelty_k
+    pmin: float = SchemeParams.pmin
     workers: int = 0  # 0 means all available cores
-    include_archive: bool = False
+    include_archive: bool = ReplicateConfig.include_archive
 
     def __post_init__(self) -> None:
         self.diagnostics = [_canonical(d, all_diagnostic_names(), "diagnostic")
@@ -122,13 +124,6 @@ def _canonical(name: str, valid: list[str], what: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
 def replicate_seed(base_seed: int, diagnostic: str, scheme: str, rep: int) -> int:
     """Derive the replicate's seed: base_seed + mix(treatment, rep) mod 2**64.
 
@@ -138,8 +133,8 @@ def replicate_seed(base_seed: int, diagnostic: str, scheme: str, rep: int) -> in
     """
     h = 0
     for byte in f"{diagnostic}|{scheme}|{rep}".encode("utf-8"):
-        h = _splitmix64(h ^ byte)
-    return (base_seed + h) & _MASK64
+        h = splitmix64(h ^ byte)
+    return (base_seed + h) & MASK64
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +221,7 @@ def _run_one(task) -> dict:
 def run_experiment(config: ExperimentConfig) -> int:
     """Execute the grid and write per-replicate CSVs plus manifest.json."""
     out_dir = Path(config.output_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
-
+    # The replicate configs check every setting before the directory exists.
     tasks = []
     for diagnostic in config.diagnostics:
         for scheme in config.schemes:
@@ -241,6 +231,11 @@ def run_experiment(config: ExperimentConfig) -> int:
                     str(out_dir / replicate_filename(diagnostic, scheme, rep)),
                     config.replicate_config(diagnostic, scheme, rep),
                 ))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
 
     workers = config.workers or os.cpu_count() or 1
     workers = min(workers, len(tasks))

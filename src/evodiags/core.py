@@ -7,7 +7,7 @@ whole blocks, and a single genotype is a block of one row.
 
 All randomness flows through an explicit ``numpy.random.Generator`` so a
 replicate is bit-reproducible from its seed. Evaluation is pure and
-consumes no randomness.
+consumes no randomness. :func:`splitmix64` derives the seeds.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import numpy as np
 
 LOWER_BOUND: float = 0.0
 UPPER_BOUND: float = 100.0
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
 
 
 class ConfigurationError(ValueError):
@@ -83,15 +85,11 @@ class Population:
         self.activation_genes = activation_genes
 
     @property
-    def size(self) -> int:
-        return self.genotypes.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.genotypes.shape[1]
 
     def __len__(self) -> int:
-        return self.size
+        return self.genotypes.shape[0]
 
 
 def _owned(values, dtype) -> np.ndarray:
@@ -168,3 +166,12 @@ def mutate_batch(
         steps = rng.normal(0.0, params.step_stddev, size=n_hits)
         genotypes[mask] = rebound(genotypes[mask] + steps)
     return genotypes
+
+
+def splitmix64(x: int) -> int:
+    """SplitMix64's output from state ``x`` (Steele, Lea & Flood 2014); it
+    makes the replicate seeds and the row hash's multipliers."""
+    x = (x + SPLITMIX_GAMMA) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)

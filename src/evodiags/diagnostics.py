@@ -17,7 +17,9 @@ would-be trait through a sawtooth transform whose peaks sit at
 between them. Crossing a valley requires accepting worse trait values
 before recovering them at the next peak.
 
-All translations are pure and operate row-wise on (N, D) blocks.
+All translations are pure and operate row-wise on (N, D) blocks. An
+activation gene can be read back from traits alone, as the metrics do
+for archived phenotypes.
 """
 
 from __future__ import annotations
@@ -77,6 +79,15 @@ def _expressed_run(rows: np.ndarray, start: np.ndarray) -> np.ndarray:
     region_end = np.where(has_end, rise_after_start.argmax(axis=1), rows.shape[1])
     active = (cols >= start[:, np.newaxis]) & (cols < region_end[:, np.newaxis])
     return np.where(active, rows, 0.0)
+
+
+def _phenotype_activations(traits: np.ndarray) -> np.ndarray:
+    """Activation genes read back from traits, one per row that expresses
+    any: the first nonzero trait, as the activation translations express
+    a positive trait there (the sawtooth keeps it positive) and none
+    before it. All-zero rows carry none."""
+    nonzero = traits > 0.0
+    return nonzero[nonzero.any(axis=1)].argmax(axis=1)
 
 
 def _ordered_exploitation_rows(rows: np.ndarray) -> tuple[np.ndarray, None]:

@@ -13,8 +13,9 @@ Tracked quantities:
 * archive size (novelty search only).
 
 For novelty search the archive can optionally count toward best
-performance and satisfactory trait coverage, since archived phenotypes
-are part of what the search has found.
+performance and both coverages (archived activation genes are read back
+from traits by ``diagnostics``), since archived phenotypes are part of
+what the search has found.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Population, UPPER_BOUND
-from .diagnostics import DIAGNOSTICS, PEAKS, DiagnosticKind
+from .diagnostics import DIAGNOSTICS, PEAKS, DiagnosticKind, _phenotype_activations
 
 SATISFACTORY_THRESHOLD: float = 0.99 * UPPER_BOUND
 
@@ -106,18 +107,6 @@ def largest_valley_reached(genes: np.ndarray) -> int:
 def best_index(pop: Population) -> int:
     """Index of the highest total fitness, lowest index on ties."""
     return int(np.argmax(pop.total_fitness))
-
-
-def _phenotype_activations(rows: np.ndarray) -> np.ndarray:
-    """Activation genes recovered from expressed traits alone, one per
-    row that expresses any trait.
-
-    Every activation diagnostic expresses a contiguous region starting at
-    the activation gene and nowhere before it, so the first nonzero trait
-    index is the activation gene; all-zero phenotypes carry none.
-    """
-    nonzero = rows > 0.0
-    return nonzero[nonzero.any(axis=1)].argmax(axis=1)
 
 
 def snapshot(

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .core import ConfigurationError, Population, UPPER_BOUND
+from .core import MASK64, SPLITMIX_GAMMA, UPPER_BOUND, ConfigurationError, Population, splitmix64
 
 
 class SchemeKind(str, Enum):
@@ -307,11 +307,9 @@ _KEY_LIMIT = 2.0 ** 53
 
 @functools.lru_cache
 def _hash_multipliers(dim: int) -> np.ndarray:
-    """The row hash's odd multipliers, splitmix64 of each column index; read-only, one per dim."""
-    z = np.arange(1, dim + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = (z ^ (z >> np.uint64(31))) | np.uint64(1)
+    """The row hash's odd multipliers, SplitMix64's first ``dim`` outputs from 0; read-only."""
+    z = np.array([splitmix64(k * SPLITMIX_GAMMA & MASK64) | 1 for k in range(dim)],
+                 dtype=np.uint64)
     z.flags.writeable = False
     return z
 
@@ -549,8 +547,7 @@ def novelty_select(
     """
     scores = novelty_scores(pop.phenotypes, state.archive, state.k)
     novel = np.flatnonzero(scores > state.pmin)
-    for idx in novel:
-        state.archive.append(pop.phenotypes[idx].copy())
+    state.archive.extend(pop.phenotypes[novel])
     if novel.size > NOVELTY_BURST_LIMIT:
         state.pmin *= NOVELTY_RAISE_FACTOR
     if novel.size > 0:

@@ -8,7 +8,9 @@ inputs. The ``*_cdist`` oracles instead keep the full-matrix
 a faster form can be checked against it bit for bit, and
 ``oracle_lexicase_by_case`` filters case by case in numpy, and
 ``oracle_fronts_dense`` tests every pair on every objective, both fast
-enough for populations at the paper's scale.
+enough for populations at the paper's scale. ``oracle_hash_multipliers``
+runs the SplitMix64 steps on a whole uint64 column at once, apart from
+the package's scalar mixer.
 """
 
 from __future__ import annotations
@@ -233,3 +235,12 @@ def oracle_novelty_scores_cdist(phenotypes, archive, k):
     dists[np.arange(n), np.arange(n)] = np.inf
     kk = min(k, pool.shape[0] - 1)
     return np.partition(dists, kk - 1, axis=1)[:, :kk].mean(axis=1)
+
+
+def oracle_hash_multipliers(dim):
+    """SplitMix64's first ``dim`` outputs from state 0, low bit set, mixed
+    in uint64 numpy arithmetic (which wraps modulo 2**64)."""
+    z = np.arange(1, dim + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))) | np.uint64(1)

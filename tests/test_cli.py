@@ -12,6 +12,7 @@ from evodiags import (
     ConfigurationError,
     DiagnosticKind,
     MutationParams,
+    ReplicateConfig,
     SchemeKind,
     SchemeParams,
     fresh_scheme_state,
@@ -19,7 +20,8 @@ from evodiags import (
 )
 from evodiags.cli import (
     ExperimentConfig,
-    _splitmix64,
+    all_diagnostic_names,
+    all_scheme_names,
     analyze,
     describe,
     main,
@@ -28,6 +30,7 @@ from evodiags.cli import (
     replicate_seed,
     run_experiment,
 )
+from evodiags.core import splitmix64
 from evodiags.metrics import CSV_HEADER
 
 
@@ -163,8 +166,8 @@ def test_replicate_seed_stable_value():
     # Frozen so a rerun of an old manifest maps to the same streams.
     # The mixer is standard splitmix64: these are its first two outputs
     # from state 0.
-    assert _splitmix64(0) == 0xE220A8397B1DCDAF
-    assert _splitmix64(0x9E3779B97F4A7C15) == 0x6E789E6AA1B965F4
+    assert splitmix64(0) == 0xE220A8397B1DCDAF
+    assert splitmix64(0x9E3779B97F4A7C15) == 0x6E789E6AA1B965F4
     assert replicate_seed(0, "exploitation-rate", "truncation", 0) == \
         12764319117751711918
     assert replicate_seed(5, "a", "b", 1) == 5606570301432530875
@@ -385,3 +388,30 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "diagnostics:" in proc.stdout
+
+
+def test_default_replicate_config_is_the_library_default():
+    for diagnostic in all_diagnostic_names():
+        for scheme in all_scheme_names():
+            assert ExperimentConfig().replicate_config(diagnostic, scheme, 0) == \
+                ReplicateConfig(diagnostic=diagnostic, scheme=SchemeParams(scheme=scheme),
+                                seed=replicate_seed(1, diagnostic, scheme, 0))
+
+
+def test_readme_config_block_shows_every_default(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("# experiment.cfg — defaults shown\n", 1)[1].split("```", 1)[0]
+    keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if line.strip()}
+    assert keys == {f.name for f in fields(ExperimentConfig)}
+    path = tmp_path / "experiment.cfg"
+    path.write_text(block, encoding="utf-8")
+    assert parse_config(str(path)) == parse_config(None)
+
+
+def test_main_rejects_a_setting_before_creating_the_output_dir(tmp_path, capsys):
+    out = tmp_path / "grid"
+    code = main(["run", "--output-dir", str(out), "--pop-size", "0",
+                 "--generations", "2", "--replicates", "1"])
+    assert code == 1
+    assert "pop_size must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()

@@ -10,7 +10,7 @@ from evodiags import (
     evaluate_population,
     translate,
 )
-from evodiags.diagnostics import DIAGNOSTICS, PEAKS, VALLEY_START
+from evodiags.diagnostics import DIAGNOSTICS, PEAKS, VALLEY_START, _phenotype_activations
 
 from oracles import (
     SAWTOOTH_PEAKS,
@@ -252,6 +252,21 @@ def test_activation_flag_per_kind():
         DiagnosticKind.CONTRADICTORY_OBJECTIVES_VALLEYS: True,
         DiagnosticKind.MULTIPATH_VALLEYS: True,
     }
+
+
+@pytest.mark.parametrize("kind", [k for k in DiagnosticKind if DIAGNOSTICS[k].activation])
+def test_activation_genes_read_back_from_traits(kind):
+    rng = np.random.default_rng(41)
+    genes = rng.uniform(0.0, 100.0, size=(2000, 20))
+    # Tie every row's maximum at a second gene; grid-valued rows tie more,
+    # and all-zero rows express nothing.
+    genes[np.arange(2000), rng.integers(0, 20, size=2000)] = genes.max(axis=1)
+    genes[:500] = rng.integers(0, 9, size=(500, 20)) * 12.5
+    genes[:10] = 0.0
+    traits, activation = translate(genes, kind)
+    expresses = traits.any(axis=1)
+    assert expresses.sum() == 1990
+    assert np.array_equal(_phenotype_activations(traits), activation[expresses])
 
 
 def test_evaluate_dispatch_matches_exploitation_rate():

@@ -187,5 +187,6 @@ def test_records_csv_round_trip():
         assert header == ("generation,best_performance,best_total_fitness,"
                           "satisfactory_trait_coverage,activation_gene_coverage,"
                           "largest_valley_reached,archive_size")
-        body = open(path).read()
+        with open(path) as fh:
+            body = fh.read()
         assert "none" in body  # below-first-peak marker

@@ -36,6 +36,7 @@ from oracles import (
     oracle_dominates,
     oracle_fronts,
     oracle_fronts_dense,
+    oracle_hash_multipliers,
     oracle_lexicase,
     oracle_lexicase_by_case,
     oracle_niche_counts_cdist,
@@ -798,6 +799,13 @@ def test_novelty_blocks_cover_only_the_distinct_rows(monkeypatch):
 # 0/1 rows, some repeated: every word is zero below its top 12 bits.
 ROUND_ROWS = (clustered_rows(256, 200, 32, seed=38) >= 50.0).astype(np.float64)
 HASHED_BLOCKS = {**EXACT_BLOCKS, "round-valued": ROUND_ROWS}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 20, 100, 257])
+def test_hash_multipliers_equal_the_vectorized_splitmix(dim):
+    multipliers = selection._hash_multipliers(dim)
+    assert multipliers.dtype == np.uint64 and not multipliers.flags.writeable
+    assert np.array_equal(multipliers, oracle_hash_multipliers(dim))
 
 
 def test_round_valued_rows_group_by_the_hash(monkeypatch):
