@@ -10,7 +10,8 @@ Run with: python demos/diagnostics_tour.py
 
 import numpy as np
 
-from evodiags import PEAKS, DiagnosticKind, apply_valleys, translate
+from evodiags import PEAKS, DiagnosticKind, activation_genes, apply_valleys, translate
+from evodiags.diagnostics import DIAGNOSTICS
 
 # A dimensionality-10 genotype with a clear structure: an early
 # non-increasing run, a rise at index 3, and the maximum at index 5.
@@ -23,8 +24,8 @@ print(header)
 print("-" * len(header))
 for kind in DiagnosticKind:
     # Translation works on (N, D) blocks; one genotype is a block of one row.
-    traits, activation = translate(genotype[None], kind)
-    shown = "-" if activation is None else str(activation[0])
+    traits = translate(genotype[None], kind)
+    shown = str(activation_genes(traits)[0]) if DIAGNOSTICS[kind].activation else "-"
     row = np.array2string(traits[0], precision=1, floatmode="fixed")
     print(f"{kind.value:36s} {shown:>10s}  {row}")
 

@@ -16,6 +16,7 @@ from evodiags import (
     DiagnosticKind,
     SchemeKind,
     SchemeParams,
+    activation_genes,
     evaluate_population,
     fresh_scheme_state,
     select,
@@ -32,7 +33,8 @@ genes[11, 2] = 85.0                          # lone specialist
 pop = evaluate_population(genes, DiagnosticKind.CONTRADICTORY_OBJECTIVES)
 
 print("member  activation  total fitness")
-for i, (activation, fitness) in enumerate(zip(pop.activation_genes, pop.total_fitness)):
+activations = activation_genes(pop.phenotypes)
+for i, (activation, fitness) in enumerate(zip(activations, pop.total_fitness)):
     print(f"{i:6d} {activation:11d} {fitness:14.1f}")
 
 print("\nparent counts over 4000 picks:")

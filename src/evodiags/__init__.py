@@ -13,7 +13,8 @@ single genotype is a block of one row, e.g. ``translate(g[None], kind)``.
 Modules:
     core: genome blocks, bounded batch mutation, the frozen population, SplitMix64.
     diagnostics: the eight translations, one ``DIAGNOSTICS`` row each
-        (``translate``, ``evaluate_population``), and the sawtooth.
+        (``translate``, ``evaluate_population``), the sawtooth, and
+        ``activation_genes``, which reads the activation genes from traits.
     selection: truncation, tournament, fitness sharing (genotypic and
         phenotypic), lexicase, nondominated sorting, novelty search, and
         the random control, one ``SCHEMES`` row each behind ``select``.
@@ -22,7 +23,7 @@ Modules:
         starts the run state that ``select`` updates (novelty's archive
         and current ``pmin``).
     evolve: the per-replicate generational loop.
-    metrics: generation records and their CSV format.
+    metrics: generation records from phenotype blocks, and their CSV format.
     stats: Kruskal-Wallis, Wilcoxon rank-sum, Bonferroni correction.
     cli: experiment grids (``run``), their analysis (``analyze``), and
         the catalog (``describe``).
@@ -39,6 +40,7 @@ from .core import (
 from .diagnostics import (
     PEAKS,
     DiagnosticKind,
+    activation_genes,
     apply_valleys,
     evaluate_population,
     translate,

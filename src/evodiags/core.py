@@ -13,7 +13,7 @@ consumes no randomness. :func:`splitmix64` derives the seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,16 +43,18 @@ class MutationParams:
     hi: ClassVar[float] = UPPER_BOUND
 
     def __post_init__(self) -> None:
+        # Every range check is written so that NaN fails it.
         if not 0.0 <= self.per_gene_rate <= 1.0:
             raise ConfigurationError(
                 f"per_gene_rate must be in [0, 1], got {self.per_gene_rate}")
-        if self.step_stddev <= 0.0:
+        if not self.step_stddev > 0.0:
             raise ConfigurationError(
                 f"step_stddev must be positive, got {self.step_stddev}")
 
 
 class Population:
-    """Fixed-size collection of evaluated individuals, stored columnar.
+    """Fixed-size collection of evaluated individuals, stored columnar as
+    three arrays: (N, D) genotypes and phenotypes, and (N,) total fitness.
 
     The population takes ownership of the arrays it is given and freezes
     them (non-writeable), so the caller's arrays become read-only too. An
@@ -61,13 +63,8 @@ class Population:
     than editing in place.
     """
 
-    def __init__(
-        self,
-        genotypes: np.ndarray,
-        phenotypes: np.ndarray,
-        total_fitness: np.ndarray,
-        activation_genes: Optional[np.ndarray] = None,
-    ) -> None:
+    def __init__(self, genotypes: np.ndarray, phenotypes: np.ndarray,
+                 total_fitness: np.ndarray) -> None:
         genotypes = _owned(genotypes, np.float64)
         phenotypes = _owned(phenotypes, np.float64)
         total_fitness = _owned(total_fitness, np.float64)
@@ -75,18 +72,9 @@ class Population:
             raise ValueError("genotypes and phenotypes must be matching (N, D) arrays")
         if total_fitness.shape != (genotypes.shape[0],):
             raise ValueError("total_fitness must have one entry per member")
-        if activation_genes is not None:
-            activation_genes = _owned(activation_genes, np.int64)
-            if activation_genes.shape != (genotypes.shape[0],):
-                raise ValueError("activation_genes must have one entry per member")
         self.genotypes = genotypes
         self.phenotypes = phenotypes
         self.total_fitness = total_fitness
-        self.activation_genes = activation_genes
-
-    @property
-    def dim(self) -> int:
-        return self.genotypes.shape[1]
 
     def __len__(self) -> int:
         return self.genotypes.shape[0]

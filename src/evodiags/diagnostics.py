@@ -17,15 +17,15 @@ would-be trait through a sawtooth transform whose peaks sit at
 between them. Crossing a valley requires accepting worse trait values
 before recovering them at the next peak.
 
-All translations are pure and operate row-wise on (N, D) blocks. An
-activation gene can be read back from traits alone, as the metrics do
-for archived phenotypes.
+All translations are pure and operate row-wise on (N, D) blocks. The
+activation gene is not stored: :func:`activation_genes` reads it back
+from the traits, for the population and the novelty archive alike.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,9 +62,9 @@ def all_diagnostic_names() -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _exploitation_rate_rows(rows: np.ndarray) -> tuple[np.ndarray, None]:
+def _exploitation_rate_rows(rows: np.ndarray) -> np.ndarray:
     """Express every gene as its trait."""
-    return rows.copy(), None
+    return rows.copy()
 
 
 def _expressed_run(rows: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -81,36 +81,36 @@ def _expressed_run(rows: np.ndarray, start: np.ndarray) -> np.ndarray:
     return np.where(active, rows, 0.0)
 
 
-def _phenotype_activations(traits: np.ndarray) -> np.ndarray:
-    """Activation genes read back from traits, one per row that expresses
-    any: the first nonzero trait, as the activation translations express
-    a positive trait there (the sawtooth keeps it positive) and none
-    before it. All-zero rows carry none."""
-    nonzero = traits > 0.0
-    return nonzero[nonzero.any(axis=1)].argmax(axis=1)
+def activation_genes(traits: np.ndarray) -> np.ndarray:
+    """The activation gene of each row of an activation diagnostic's
+    trait block: its first positive trait. The activation translations
+    express the activation gene (the highest gene, ties to the lower
+    index) and nothing before it, and an expressed gene is positive
+    unless the whole genome is 0, since the sawtooth never maps a
+    positive value below 7. An all-zero row gives 0, the index of the
+    highest gene of its all-zero genome."""
+    return (traits > 0.0).argmax(axis=1)
 
 
-def _ordered_exploitation_rows(rows: np.ndarray) -> tuple[np.ndarray, None]:
+def _ordered_exploitation_rows(rows: np.ndarray) -> np.ndarray:
     """Express each row's leading non-increasing run; later traits are 0."""
-    return _expressed_run(rows, np.zeros(rows.shape[0], dtype=np.intp)), None
+    return _expressed_run(rows, np.zeros(rows.shape[0], dtype=np.intp))
 
 
-def _contradictory_objectives_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _contradictory_objectives_rows(rows: np.ndarray) -> np.ndarray:
     """Express only each row's highest gene, its activation gene (ties go
     to the lower index)."""
-    n = rows.shape[0]
+    sel = np.arange(rows.shape[0])
     activation = rows.argmax(axis=1)
     traits = np.zeros_like(rows)
-    sel = np.arange(n)
     traits[sel, activation] = rows[sel, activation]
-    return traits, activation
+    return traits
 
 
-def _multipath_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _multipath_rows(rows: np.ndarray) -> np.ndarray:
     """Express the non-increasing run that opens at each row's activation
     gene (its highest, ties to the lower index)."""
-    activation = rows.argmax(axis=1)
-    return _expressed_run(rows, activation), activation
+    return _expressed_run(rows, rows.argmax(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ class Diagnostic(NamedTuple):
     """A diagnostic's base translation, whether the sawtooth follows it,
     whether it has activation genes, and its one-line description."""
 
-    rows: Callable[[np.ndarray], tuple[np.ndarray, Optional[np.ndarray]]]
+    rows: Callable[[np.ndarray], np.ndarray]
     valleys: bool
     activation: bool
     describe: str
@@ -179,19 +179,16 @@ DIAGNOSTICS = {
 }
 
 
-def translate(genotypes: np.ndarray, kind: DiagnosticKind) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Translate an (N, D) genotype block into traits under ``kind``.
-
-    Returns the (N, D) trait block and, for activation diagnostics, the
-    (N,) activation indices (None otherwise). Valley variants run the base
-    translation and then the sawtooth; activation genes are determined
-    from the raw genes, before the sawtooth is applied.
+def translate(genotypes: np.ndarray, kind: DiagnosticKind) -> np.ndarray:
+    """Translate an (N, D) genotype block into its (N, D) trait block
+    under ``kind``. Valley variants run the base translation and then the
+    sawtooth, so activation genes are chosen from the raw genes.
     """
     diagnostic = DIAGNOSTICS[kind]
-    traits, activation = diagnostic.rows(np.asarray(genotypes, dtype=np.float64))
+    traits = diagnostic.rows(np.asarray(genotypes, dtype=np.float64))
     if diagnostic.valleys:
         traits = apply_valleys(traits)
-    return traits, activation
+    return traits
 
 
 def evaluate_population(genotypes: np.ndarray, kind: DiagnosticKind) -> Population:
@@ -201,10 +198,5 @@ def evaluate_population(genotypes: np.ndarray, kind: DiagnosticKind) -> Populati
     :class:`~evodiags.core.Population`); pass a copy to keep a writeable
     block.
     """
-    traits, activation = translate(genotypes, kind)
-    return Population(
-        genotypes=genotypes,
-        phenotypes=traits,
-        total_fitness=traits.sum(axis=1),
-        activation_genes=activation,
-    )
+    traits = translate(genotypes, kind)
+    return Population(genotypes, traits, traits.sum(axis=1))

@@ -12,10 +12,11 @@ Tracked quantities:
   gene of the best individual (valley diagnostics only);
 * archive size (novelty search only).
 
-For novelty search the archive can optionally count toward best
-performance and both coverages (archived activation genes are read back
-from traits by ``diagnostics``), since archived phenotypes are part of
-what the search has found.
+Both coverages read phenotype blocks only; the activation genes are read
+back from traits by ``diagnostics.activation_genes``. For novelty search
+the archive can optionally count toward best performance and both
+coverages, as one more block, since archived phenotypes are part of what
+the search has found.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Population, UPPER_BOUND
-from .diagnostics import DIAGNOSTICS, PEAKS, DiagnosticKind, _phenotype_activations
+from .diagnostics import DIAGNOSTICS, PEAKS, DiagnosticKind, activation_genes
 
 SATISFACTORY_THRESHOLD: float = 0.99 * UPPER_BOUND
 
@@ -76,22 +77,18 @@ def has_satisfactory_solution(pop: Population) -> bool:
     return bool((pop.phenotypes >= SATISFACTORY_THRESHOLD).all(axis=1).any())
 
 
-def satisfactory_trait_coverage(
-    pop: Population, extra_phenotypes: Optional[np.ndarray] = None
-) -> int:
-    """Count trait indices satisfied by at least one solution."""
-    covered = (pop.phenotypes >= SATISFACTORY_THRESHOLD).any(axis=0)
-    if extra_phenotypes is not None and len(extra_phenotypes):
-        extra = np.asarray(extra_phenotypes, dtype=np.float64)
-        covered = covered | (extra >= SATISFACTORY_THRESHOLD).any(axis=0)
-    return int(covered.sum())
+def satisfactory_trait_coverage(*phenotypes: np.ndarray) -> int:
+    """Count trait indices satisfied by at least one row of the blocks."""
+    covered = False
+    for block in phenotypes:
+        covered = covered | (block >= SATISFACTORY_THRESHOLD).any(axis=0)
+    return int(np.count_nonzero(covered))
 
 
-def activation_gene_coverage(pop: Population) -> int:
-    """Count distinct activation genes across the population."""
-    if pop.activation_genes is None:
-        raise ValueError("population was evaluated without activation genes")
-    return int(np.unique(pop.activation_genes).size)
+def activation_gene_coverage(*phenotypes: np.ndarray) -> int:
+    """Count distinct activation genes across the rows of the blocks."""
+    genes = np.concatenate([activation_genes(block) for block in phenotypes])
+    return int(np.count_nonzero(np.bincount(genes)))
 
 
 def largest_valley_reached(genes: np.ndarray) -> int:
@@ -121,35 +118,32 @@ def snapshot(
     Coverage fields are populated only for activation diagnostics, the
     valley field only for valley diagnostics, and the archive size only
     when an archive is supplied. With ``include_archive`` the archive
-    competes for best performance and contributes satisfied traits; the
-    valley metric stays population-based because archived phenotypes
-    carry no genes.
+    competes for best performance and adds its satisfied traits and
+    activation genes; the valley metric stays population-based because
+    archived phenotypes carry no genes.
     """
     best = best_index(pop)
     best_total = float(pop.total_fitness[best])
-    archive_rows = None
+    blocks = [pop.phenotypes]
     if archive is not None and len(archive) and include_archive:
         archive_rows = np.asarray(archive, dtype=np.float64)
         best_total = max(best_total, float(archive_rows.sum(axis=1).max()))
+        blocks.append(archive_rows)
 
     diagnostic = DIAGNOSTICS[kind]
     sat_cov = None
     act_cov = None
     if diagnostic.activation:
-        sat_cov = satisfactory_trait_coverage(pop, archive_rows)
-        if archive_rows is None:
-            act_cov = activation_gene_coverage(pop)
-        else:
-            act_cov = int(np.union1d(
-                pop.activation_genes, _phenotype_activations(archive_rows)).size)
+        sat_cov = satisfactory_trait_coverage(*blocks)
+        act_cov = activation_gene_coverage(*blocks)
 
     valley = None
     if diagnostic.valleys:
         valley = largest_valley_reached(pop.genotypes[best])
 
     archived = len(archive) if archive is not None else None
-    return GenerationRecord(
-        generation, best_total / pop.dim, best_total, sat_cov, act_cov, valley, archived)
+    return GenerationRecord(generation, best_total / pop.phenotypes.shape[1], best_total,
+                            sat_cov, act_cov, valley, archived)
 
 
 # ---------------------------------------------------------------------------

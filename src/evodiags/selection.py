@@ -98,13 +98,14 @@ class SchemeParams:
             raise ConfigurationError(f"tr must be >= 1, got {self.tr}")
         if self.ts < 1:
             raise ConfigurationError(f"ts must be >= 1, got {self.ts}")
-        if self.sigma < 0.0:
+        # Every float check is written so that NaN fails it.
+        if not self.sigma >= 0.0:
             raise ConfigurationError(f"sigma must be >= 0, got {self.sigma}")
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
         if self.novelty_k < 1:
             raise ConfigurationError(f"novelty_k must be >= 1, got {self.novelty_k}")
-        if self.pmin <= 0.0:
+        if not self.pmin > 0.0:
             raise ConfigurationError(f"pmin must be positive, got {self.pmin}")
 
 
@@ -380,38 +381,37 @@ def lexicase_select(pop: Population, n: int, rng: np.random.Generator) -> np.nda
     distinct, inverse = _distinct_rows(pheno)
     orders = rng.permuted(np.tile(np.arange(dim), (n, 1)), axis=1)
     winner_rows = np.zeros(n, dtype=np.int64)
-    if distinct.shape[0] > 1:
-        ranks = _trait_ranks(distinct).astype(np.float64)
-        radix = ranks.max(axis=1) + 1.0
-        # The picks still open, their case orders, and (after the first
-        # pass) alive[i, r], which says row r is still a candidate for
-        # open pick i. Distinct rows cannot tie on every case, so each
-        # pick ends with exactly one row alive.
-        picks = np.arange(n)
-        start = 0
-        while start < dim:
-            # Radix products over each pick's remaining cases. They are
-            # exact below the limit and never fall back below it once
-            # past, and a single case always fits, its radix being at
-            # most N.
-            spans = np.cumprod(radix[orders[:, start:]], axis=1)
-            length = int((spans < _KEY_LIMIT).sum(axis=1).min())
-            # A case's place value is the radix product of the run's
-            # later cases; the quotient of exact integers is exact.
-            place = spans[:, length - 1:length] / spans[:, :length]
-            weights = np.zeros((picks.size, dim))
-            rows = np.arange(picks.size)[:, np.newaxis]
-            weights[rows, orders[:, start:start + length]] = place
-            keys = weights @ ranks
-            if start:
-                keys = np.where(alive, keys, -1.0)
-            alive = keys == keys.max(axis=1, keepdims=True)
-            winner_rows[picks] = alive.argmax(axis=1)
-            start += length
-            still_open = alive.sum(axis=1) > 1
-            if not still_open.any():
-                break
-            picks, orders, alive = picks[still_open], orders[still_open], alive[still_open]
+    ranks = _trait_ranks(distinct).astype(np.float64)
+    radix = ranks.max(axis=1) + 1.0
+    # The picks still open, their case orders, and (after the first pass)
+    # alive[i, r], which says row r is still a candidate for open pick i.
+    # Distinct rows cannot tie on every case, so each pick ends with
+    # exactly one row alive. A lone distinct row ranks 0 with radix 1 on
+    # every case, so one pass keys every pick to it and leaves none open.
+    picks = np.arange(n)
+    start = 0
+    while start < dim:
+        # Radix products over each pick's remaining cases. They are exact
+        # below the limit and never fall back below it once past, and a
+        # single case always fits, its radix being at most N.
+        spans = np.cumprod(radix[orders[:, start:]], axis=1)
+        length = int((spans < _KEY_LIMIT).sum(axis=1).min())
+        # A case's place value is the radix product of the run's
+        # later cases; the quotient of exact integers is exact.
+        place = spans[:, length - 1:length] / spans[:, :length]
+        weights = np.zeros((picks.size, dim))
+        rows = np.arange(picks.size)[:, np.newaxis]
+        weights[rows, orders[:, start:start + length]] = place
+        keys = weights @ ranks
+        if start:
+            keys = np.where(alive, keys, -1.0)
+        alive = keys == keys.max(axis=1, keepdims=True)
+        winner_rows[picks] = alive.argmax(axis=1)
+        start += length
+        still_open = alive.sum(axis=1) > 1
+        if not still_open.any():
+            break
+        picks, orders, alive = picks[still_open], orders[still_open], alive[still_open]
     # Uniform pick among the clones sharing the winning phenotype.
     members_by_row = np.argsort(inverse, kind="stable")
     class_sizes = np.bincount(inverse, minlength=distinct.shape[0])

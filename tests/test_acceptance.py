@@ -19,9 +19,9 @@ Two grids run longer:
   5000-generation valley grid reads them from there instead of running
   them twice.
 
-On a shared 2-core machine two full runs of the suite took 441 s and
-483 s; setting up criterion 4's two valley grids took 253 s and 301 s
-of that, most of it the 50,000-generation lexicase replicates.
+On a shared 2-core machine two full runs of the whole test suite took
+186 s and 192 s; setting up criterion 4's two valley grids took 108 s
+of the first, most of it the 50,000-generation lexicase replicates.
 
 Sharing-distance reading per grid (the distance normalization flag
 exists because both readings of sigma are defensible):
@@ -49,6 +49,7 @@ from evodiags import (
     NoveltyState,
     Population,
     SchemeKind,
+    activation_genes,
     apply_valleys,
     bonferroni,
     kruskal_wallis,
@@ -63,6 +64,7 @@ from evodiags import (
 )
 from evodiags import selection
 from evodiags.cli import ExperimentConfig, replicate_filename, run_experiment
+from evodiags.diagnostics import DIAGNOSTICS
 
 from oracles import (
     SAWTOOTH_PEAKS,
@@ -344,10 +346,10 @@ def test_criterion_6_diagnostic_oracles():
     }
     for kind, oracle in oracles.items():
         # The whole enumeration as one block, compared row by row.
-        traits, act = translate(np.array(combos), kind)
+        traits = translate(np.array(combos), kind)
         rows = traits.tolist()
-        if act is not None:
-            rows = list(zip(rows, act.tolist()))
+        if DIAGNOSTICS[kind].activation:
+            rows = list(zip(rows, activation_genes(traits).tolist()))
         cases += len(combos)
         mismatches += sum(row != oracle(combo) for row, combo in zip(rows, combos))
     report(6, "diagnostic-oracles", mismatches == 0,

@@ -415,3 +415,18 @@ def test_main_rejects_a_setting_before_creating_the_output_dir(tmp_path, capsys)
     assert code == 1
     assert "pop_size must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, name", [
+    ("sigma", "sigma"), ("alpha", "alpha"), ("pmin", "pmin"),
+    ("mutation_stddev", "step_stddev"),
+])
+def test_main_rejects_a_nan_setting_before_creating_the_output_dir(tmp_path, capsys, key, name):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = nan\n")
+    out = tmp_path / "grid"
+    code = main(["run", "--config", str(path), "--output-dir", str(out),
+                 "--generations", "2", "--replicates", "1", "--workers", "1"])
+    assert code == 1
+    assert f"{name} must be" in capsys.readouterr().err
+    assert not out.exists()

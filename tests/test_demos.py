@@ -1,4 +1,5 @@
-"""Smoke test: every script in ``demos/`` runs to exit code 0."""
+"""Smoke test: every script in ``demos/`` runs to exit code 0, with any
+warning turned into an error as in the rest of the suite."""
 
 import os
 import subprocess
@@ -20,7 +21,7 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

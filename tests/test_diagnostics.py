@@ -6,11 +6,12 @@ import pytest
 from evodiags import (
     DiagnosticKind,
     Population,
+    activation_genes,
     apply_valleys,
     evaluate_population,
     translate,
 )
-from evodiags.diagnostics import DIAGNOSTICS, PEAKS, VALLEY_START, _phenotype_activations
+from evodiags.diagnostics import DIAGNOSTICS, PEAKS, VALLEY_START
 
 from oracles import (
     SAWTOOTH_PEAKS,
@@ -30,9 +31,10 @@ MULTI = DiagnosticKind.MULTIPATH_EXPLORATION
 
 
 def translate_one(genotype, kind):
-    """Translate one genotype as a one-row block: (traits, activation)."""
-    traits, activation = translate(np.asarray(genotype, dtype=np.float64)[None], kind)
-    return traits[0], None if activation is None else int(activation[0])
+    """Translate one genotype as a one-row block: its traits and, for an
+    activation diagnostic, the activation gene read back from them."""
+    traits = translate(np.asarray(genotype, dtype=np.float64)[None], kind)
+    return traits[0], int(activation_genes(traits)[0]) if DIAGNOSTICS[kind].activation else None
 
 
 def evaluate_one(genotype, kind):
@@ -120,16 +122,15 @@ def test_base_translations_match_brute_force_on_enumerated_genotypes(dim):
         DiagnosticKind.ORDERED_EXPLOITATION: oracle_ordered_exploitation,
     }
     for kind, oracle in plain.items():
-        traits, activation = translate(block, kind)
-        assert activation is None
+        traits = translate(block, kind)
         assert traits.tolist() == [oracle(combo) for combo in combos]
     with_activation = {
         DiagnosticKind.CONTRADICTORY_OBJECTIVES: oracle_contradictory_objectives,
         DiagnosticKind.MULTIPATH_EXPLORATION: oracle_multipath_exploration,
     }
     for kind, oracle in with_activation.items():
-        traits, activation = translate(block, kind)
-        got = list(zip(traits.tolist(), activation.tolist()))
+        traits = translate(block, kind)
+        got = list(zip(traits.tolist(), activation_genes(traits).tolist()))
         assert got == [oracle(combo) for combo in combos]
 
 
@@ -259,14 +260,14 @@ def test_activation_genes_read_back_from_traits(kind):
     rng = np.random.default_rng(41)
     genes = rng.uniform(0.0, 100.0, size=(2000, 20))
     # Tie every row's maximum at a second gene; grid-valued rows tie more,
-    # and all-zero rows express nothing.
+    # and all-zero rows express nothing but still have gene 0 highest.
     genes[np.arange(2000), rng.integers(0, 20, size=2000)] = genes.max(axis=1)
     genes[:500] = rng.integers(0, 9, size=(500, 20)) * 12.5
     genes[:10] = 0.0
-    traits, activation = translate(genes, kind)
-    expresses = traits.any(axis=1)
-    assert expresses.sum() == 1990
-    assert np.array_equal(_phenotype_activations(traits), activation[expresses])
+    traits = translate(genes, kind)
+    assert traits.any(axis=1).sum() == 1990
+    # The paper's activation gene: the highest gene, ties to the lower index.
+    assert np.array_equal(activation_genes(traits), genes.argmax(axis=1))
 
 
 def test_evaluate_dispatch_matches_exploitation_rate():
@@ -274,7 +275,6 @@ def test_evaluate_dispatch_matches_exploitation_rate():
     pop = evaluate_one(g, DiagnosticKind.EXPLOITATION_RATE)
     assert np.array_equal(pop.phenotypes[0], g)
     assert pop.total_fitness[0] == pytest.approx(g.sum())
-    assert pop.activation_genes is None
 
 
 def test_evaluate_valley_crossing_on_all_peaks_genotype():
@@ -286,7 +286,7 @@ def test_evaluate_valley_crossing_on_all_peaks_genotype():
 def test_evaluate_contradictory_valleys_transforms_single_trait():
     g = np.array([1.0, 97.1, 2.0, 0.5])
     pop = evaluate_one(g, DiagnosticKind.CONTRADICTORY_OBJECTIVES_VALLEYS)
-    assert pop.activation_genes.tolist() == [1]
+    assert activation_genes(pop.phenotypes).tolist() == [1]
     expected = oracle_sawtooth(97.1)
     assert pop.phenotypes[0, 1] == expected
     assert expected == pytest.approx(74.9)
@@ -306,8 +306,9 @@ def test_valley_variants_match_base_then_sawtooth_composition():
         valley_pop = evaluate_population(genes, valley_kind)
         base_pop = evaluate_population(genes, base_kind)
         assert np.array_equal(valley_pop.phenotypes, apply_valleys(base_pop.phenotypes))
-        if valley_pop.activation_genes is not None:
-            assert np.array_equal(valley_pop.activation_genes, base_pop.activation_genes)
+        if DIAGNOSTICS[valley_kind].activation:
+            assert np.array_equal(activation_genes(valley_pop.phenotypes),
+                                  activation_genes(base_pop.phenotypes))
 
 
 def test_evaluate_is_pure_and_bit_stable():
@@ -318,7 +319,7 @@ def test_evaluate_is_pure_and_bit_stable():
     assert np.array_equal(g, before)
     assert np.array_equal(a.phenotypes, b.phenotypes)
     assert np.array_equal(a.total_fitness, b.total_fitness)
-    assert np.array_equal(a.activation_genes, b.activation_genes)
+    assert np.array_equal(activation_genes(a.phenotypes), activation_genes(b.phenotypes))
 
 
 def test_population_arrays_are_frozen():

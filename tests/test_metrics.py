@@ -5,6 +5,7 @@ from evodiags import (
     DiagnosticKind,
     GenerationRecord,
     activation_gene_coverage,
+    activation_genes,
     evaluate_population,
     has_satisfactory_solution,
     largest_valley_reached,
@@ -54,17 +55,19 @@ def test_satisfactory_trait_coverage_counts_unique_columns():
         [0.0, 0.0, 0.0, 99.9],
         [0.0, 50.0, 0.0, 0.0],
     ])
-    assert satisfactory_trait_coverage(pop_from_phenotypes(pheno)) == 2
+    assert satisfactory_trait_coverage(pheno) == 2
 
 
 def test_satisfactory_trait_coverage_zero_when_none():
-    assert satisfactory_trait_coverage(pop_from_phenotypes(np.full((3, 4), 50.0))) == 0
+    assert satisfactory_trait_coverage(np.full((3, 4), 50.0)) == 0
 
 
 def test_satisfactory_trait_coverage_includes_extra_phenotypes():
-    pop = pop_from_phenotypes(np.full((2, 3), 10.0))
+    pheno = np.array([[99.5, 10.0, 10.0], [10.0, 10.0, 10.0]])
     extra = np.array([[0.0, 99.5, 0.0]])
-    assert satisfactory_trait_coverage(pop, extra) == 1
+    assert satisfactory_trait_coverage(pheno) == 1
+    assert satisfactory_trait_coverage(pheno, extra) == 2
+    assert satisfactory_trait_coverage(extra, extra) == 1
 
 
 def test_activation_gene_coverage_counts_distinct():
@@ -75,13 +78,11 @@ def test_activation_gene_coverage_counts_distinct():
         [1.0, 1.0, 9.0],
     ])
     pop = evaluate_population(genes, DiagnosticKind.CONTRADICTORY_OBJECTIVES)
-    assert activation_gene_coverage(pop) == 3
-
-
-def test_activation_gene_coverage_rejects_non_activation_population():
-    pop = pop_from_phenotypes(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        activation_gene_coverage(pop)
+    assert activation_gene_coverage(pop.phenotypes) == 3
+    # A second block adds only the genes the first lacks; all-zero rows
+    # count as gene 0.
+    assert activation_gene_coverage(pop.phenotypes[1:], pop.phenotypes[:1]) == 3
+    assert activation_gene_coverage(pop.phenotypes[1:3], np.zeros((2, 3))) == 2
 
 
 def test_largest_valley_reached_values():
@@ -159,6 +160,16 @@ def test_snapshot_archive_competes_only_when_included():
     assert rec_on.satisfactory_trait_coverage == 1
 
 
+def test_snapshot_archive_adds_activation_genes_only_when_included():
+    kind = DiagnosticKind.MULTIPATH_EXPLORATION
+    pop = evaluate_population(np.array([[50.0, 1.0, 0.0], [1.0, 40.0, 0.0]]), kind)
+    archive = [np.array([0.0, 0.0, 99.5]), np.array([0.0, 30.0, 20.0])]
+    assert snapshot(pop, 0, kind, archive=archive).activation_gene_coverage == 2
+    rec_on = snapshot(pop, 0, kind, archive=archive, include_archive=True)
+    assert rec_on.activation_gene_coverage == 3
+    assert rec_on.satisfactory_trait_coverage == 1
+
+
 def test_satisfied_traits_subset_of_activation_genes_on_contradictory():
     rng = np.random.default_rng(3)
     genes = rng.uniform(0, 100, size=(64, 6))
@@ -166,7 +177,7 @@ def test_satisfied_traits_subset_of_activation_genes_on_contradictory():
     kind = DiagnosticKind.CONTRADICTORY_OBJECTIVES
     pop = evaluate_population(genes, kind)
     satisfied = set(np.flatnonzero((pop.phenotypes >= 99.0).any(axis=0)))
-    activations = set(pop.activation_genes.tolist())
+    activations = set(activation_genes(pop.phenotypes).tolist())
     assert satisfied <= activations
 
 

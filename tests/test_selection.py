@@ -412,13 +412,15 @@ def test_lexicase_duplicate_case_does_not_change_survivors():
 def lexicase_against_oracle(pheno, n, seed):
     """Check lexicase_select's picks against the case-by-case oracle on
     the same stream (the case orders, then one draw per pick), and return
-    how many cases each pick used."""
-    got = lexicase_select(make_pop(pheno), n, np.random.default_rng(seed))
+    how many cases each pick used. Both leave the stream in one state."""
+    rng = np.random.default_rng(seed)
+    got = lexicase_select(make_pop(pheno), n, rng)
     stream = np.random.default_rng(seed)
     orders = stream.permuted(np.tile(np.arange(pheno.shape[1]), (n, 1)), axis=1)
     draws = stream.random(n)
     picks, cases_used = oracle_lexicase(pheno.tolist(), orders, draws)
     assert got.tolist() == picks
+    assert rng.bit_generator.state == stream.bit_generator.state
     return cases_used
 
 
@@ -478,6 +480,9 @@ def test_lexicase_matches_case_by_case_oracle():
         open_after_two_keys += sum(used > 2 * most for used in cases_used)
     assert settled_in_first_key >= 10
     assert open_after_two_keys >= 10
+    # One member, and clones only: a single distinct row wins every pick.
+    for pheno in (rng.uniform(0, 100, size=(1, 5)), np.tile(rng.uniform(0, 100, size=7), (16, 1))):
+        lexicase_against_oracle(pheno, 12, int(rng.integers(1 << 32)))
 
 
 def test_lexicase_matches_numpy_oracle_at_headline_scale():
