@@ -28,7 +28,7 @@ for scheme in (SchemeKind.TRUNCATION, SchemeKind.SHARING_PHENOTYPIC,
         diagnostic=DiagnosticKind.CONTRADICTORY_OBJECTIVES,
         # Raw sharing distances: crowding penalties act on near-clones,
         # which is what keeps nondominated sorting's niches alive.
-        scheme=SchemeParams(scheme=scheme, normalize_distance=False),
+        scheme=SchemeParams(scheme=scheme, normalize_sharing=False),
         pop_size=64, generations=GENERATIONS, dim=10, seed=11, record_stride=300)
     result = run_replicate(config)
     coverage = [r.activation_gene_coverage for r in result.records]

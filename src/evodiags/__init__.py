@@ -17,11 +17,11 @@ Modules:
         ``activation_genes``, which reads the activation genes from traits.
     selection: truncation, tournament, fitness sharing (genotypic and
         phenotypic), lexicase, nondominated sorting, novelty search, and
-        the random control, one ``SCHEMES`` row each behind ``select``.
-        One frozen ``SchemeParams`` configures every scheme, novelty's
-        ``novelty_k`` and ``pmin`` included; ``fresh_scheme_state``
-        starts the run state that ``select`` updates (novelty's archive
-        and current ``pmin``).
+        the random control, one ``SCHEMES`` row each. ``select`` is how
+        any scheme is run. One frozen ``SchemeParams`` configures every
+        scheme, novelty's ``novelty_k`` and ``pmin`` included;
+        ``fresh_scheme_state`` starts the run state that ``select``
+        updates (novelty's archive and current ``pmin``).
     evolve: the per-replicate generational loop.
     metrics: generation records from phenotype blocks, and their CSV format.
     stats: Kruskal-Wallis, Wilcoxon rank-sum, Bonferroni correction.
@@ -61,17 +61,13 @@ from .selection import (
     SchemeKind,
     SchemeParams,
     SchemeState,
-    fitness_sharing_select,
     fresh_scheme_state,
     lexicase_select,
     novelty_scores,
     novelty_select,
-    nsga_select,
-    random_select,
     select,
     sharing_kernel,
     stochastic_remainder,
-    tournament_select,
     truncation_select,
 )
 from .stats import bonferroni, kruskal_wallis, wilcoxon_rank_sum

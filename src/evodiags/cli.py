@@ -60,15 +60,15 @@ class ExperimentConfig:
     generations: int = ReplicateConfig.generations
     dim: int = ReplicateConfig.dim
     stride: int = ReplicateConfig.record_stride
-    mutation_rate: float = MutationParams.per_gene_rate
-    mutation_stddev: float = MutationParams.step_stddev
+    mutation_rate: float = MutationParams.mutation_rate
+    mutation_stddev: float = MutationParams.mutation_stddev
     init_lo: float = ReplicateConfig.init_lo
     init_hi: float = ReplicateConfig.init_hi
     tr: int = SchemeParams.tr
     ts: int = SchemeParams.ts
     sigma: float = SchemeParams.sigma
     alpha: float = SchemeParams.alpha
-    normalize_sharing: bool = SchemeParams.normalize_distance
+    normalize_sharing: bool = SchemeParams.normalize_sharing
     novelty_k: int = SchemeParams.novelty_k
     pmin: float = SchemeParams.pmin
     workers: int = 0  # 0 means all available cores
@@ -79,6 +79,9 @@ class ExperimentConfig:
                             for d in self.diagnostics]
         self.schemes = [_canonical(s, all_scheme_names(), "scheme")
                         for s in self.schemes]
+        for key in ("diagnostics", "schemes"):
+            if not getattr(self, key):
+                raise ConfigurationError(f"{key} must name at least one, got none")
         if self.replicates < 1:
             raise ConfigurationError(
                 f"replicates must be >= 1, got {self.replicates}")
@@ -94,7 +97,7 @@ class ExperimentConfig:
                 ts=self.ts,
                 sigma=self.sigma,
                 alpha=self.alpha,
-                normalize_distance=self.normalize_sharing,
+                normalize_sharing=self.normalize_sharing,
                 novelty_k=self.novelty_k,
                 pmin=self.pmin,
             ),
@@ -102,8 +105,8 @@ class ExperimentConfig:
             generations=self.generations,
             dim=self.dim,
             mutation=MutationParams(
-                per_gene_rate=self.mutation_rate,
-                step_stddev=self.mutation_stddev),
+                mutation_rate=self.mutation_rate,
+                mutation_stddev=self.mutation_stddev),
             init_lo=self.init_lo,
             init_hi=self.init_hi,
             seed=replicate_seed(self.base_seed, diagnostic, scheme, rep),

@@ -12,6 +12,7 @@ consumes no randomness. :func:`splitmix64` derives the seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -31,25 +32,25 @@ class ConfigurationError(ValueError):
 class MutationParams:
     """Per-gene point mutation settings.
 
-    Each gene independently receives, with probability ``per_gene_rate``,
-    an additive draw from Normal(0, step_stddev**2). Out-of-range results
+    Each gene independently receives, with probability ``mutation_rate``,
+    an additive draw from Normal(0, mutation_stddev**2). Out-of-range results
     are reflected back across the violated bound, ``lo`` or ``hi``; the
     bounds are the gene range and are not settable.
     """
 
-    per_gene_rate: float = 0.007
-    step_stddev: float = 1.0
+    mutation_rate: float = 0.007
+    mutation_stddev: float = 1.0
     lo: ClassVar[float] = LOWER_BOUND
     hi: ClassVar[float] = UPPER_BOUND
 
     def __post_init__(self) -> None:
-        # Every range check is written so that NaN fails it.
-        if not 0.0 <= self.per_gene_rate <= 1.0:
+        # Every range check is written so that NaN and infinity fail it.
+        if not 0.0 <= self.mutation_rate <= 1.0:
             raise ConfigurationError(
-                f"per_gene_rate must be in [0, 1], got {self.per_gene_rate}")
-        if not self.step_stddev > 0.0:
+                f"mutation_rate must be in [0, 1], got {self.mutation_rate}")
+        if not 0.0 < self.mutation_stddev < math.inf:
             raise ConfigurationError(
-                f"step_stddev must be positive, got {self.step_stddev}")
+                f"mutation_stddev must be finite and positive, got {self.mutation_stddev}")
 
 
 class Population:
@@ -143,15 +144,15 @@ def mutate_batch(
     return it.
 
     Each gene independently mutates with probability
-    ``params.per_gene_rate``; the other genes stay as they are. Draws the
+    ``params.mutation_rate``; the other genes stay as they are. Draws the
     hit mask first and then one normal step per hit, in row-major order,
     so the consumed stream is a pure function of the generator state and
     the block shape. Pass a copy to keep the original block.
     """
-    mask = rng.random(genotypes.shape) < params.per_gene_rate
+    mask = rng.random(genotypes.shape) < params.mutation_rate
     n_hits = int(mask.sum())
     if n_hits:
-        steps = rng.normal(0.0, params.step_stddev, size=n_hits)
+        steps = rng.normal(0.0, params.mutation_stddev, size=n_hits)
         genotypes[mask] = rebound(genotypes[mask] + steps)
     return genotypes
 

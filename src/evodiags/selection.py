@@ -5,8 +5,10 @@ with replacement. Aggregate schemes (truncation, tournament, fitness
 sharing, nondominated sorting) rank on total fitness or shared variants
 of it; lexicase treats each trait as a test case; novelty search scores
 behavioral distinctness against the population and a growing archive;
-random selection is the control. One frozen :class:`SchemeParams`
-configures every scheme, novelty's ``novelty_k`` and starting ``pmin``
+random selection is the control. :func:`select` is how any scheme is
+run: it looks the scheme up in ``SCHEMES``, whose row calls the
+scheme's kernel with the settings it reads from one frozen
+:class:`SchemeParams`, novelty's ``novelty_k`` and starting ``pmin``
 included; novelty's other rules are the ``NOVELTY_*`` constants.
 
 Sharing distances are normalized by the search space diameter
@@ -23,6 +25,7 @@ later objectives only on the pairs still in the dominance block.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -67,11 +70,10 @@ NOVELTY_TOURNAMENT_SIZE = 2
 
 @dataclass
 class NoveltyState:
-    """One novelty run's state: neighbor count ``k``, current threshold
-    ``pmin``, the append-only archive (one list for the whole run) and
-    the generations since the last threshold addition."""
+    """One novelty run's state: the current threshold ``pmin``, the
+    append-only archive (one list for the whole run) and the generations
+    since the last threshold addition."""
 
-    k: int
     pmin: float
     archive: list[np.ndarray] = field(default_factory=list)
     generations_since_add: int = 0
@@ -88,7 +90,7 @@ class SchemeParams:
     ts: int = 8
     sigma: float = 0.3
     alpha: float = 1.0
-    normalize_distance: bool = True
+    normalize_sharing: bool = True
     novelty_k: int = 15
     pmin: float = 10.0
 
@@ -98,15 +100,15 @@ class SchemeParams:
             raise ConfigurationError(f"tr must be >= 1, got {self.tr}")
         if self.ts < 1:
             raise ConfigurationError(f"ts must be >= 1, got {self.ts}")
-        # Every float check is written so that NaN fails it.
-        if not self.sigma >= 0.0:
-            raise ConfigurationError(f"sigma must be >= 0, got {self.sigma}")
-        if not self.alpha > 0.0:
-            raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
+        # Every float check is written so that NaN and infinity fail it.
+        if not 0.0 <= self.sigma < math.inf:
+            raise ConfigurationError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ConfigurationError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.novelty_k < 1:
             raise ConfigurationError(f"novelty_k must be >= 1, got {self.novelty_k}")
-        if not self.pmin > 0.0:
-            raise ConfigurationError(f"pmin must be positive, got {self.pmin}")
+        if not 0.0 < self.pmin < math.inf:
+            raise ConfigurationError(f"pmin must be finite and positive, got {self.pmin}")
 
 
 @dataclass
@@ -126,7 +128,7 @@ class SchemeState:
 def fresh_scheme_state(params: SchemeParams) -> SchemeState:
     """A new replicate's state; no two replicates share an archive."""
     is_novelty = params.scheme is SchemeKind.NOVELTY
-    return SchemeState(params, NoveltyState(params.novelty_k, params.pmin) if is_novelty else None)
+    return SchemeState(params, NoveltyState(params.pmin) if is_novelty else None)
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +153,6 @@ def truncation_select(
     return np.repeat(order[:tr], counts)
 
 
-def tournament_select(
-    pop: Population, ts: int, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Hold ``n`` independent size-``ts`` tournaments on total fitness.
-
-    Entrants are sampled uniformly with replacement; the highest total
-    fitness wins, ties settled uniformly among the tied entrants.
-    """
-    return _score_tournaments(pop.total_fitness, ts, n, rng)
-
-
-def random_select(pop: Population, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draws with replacement; the no-selection-pressure control."""
-    return rng.integers(0, len(pop), size=n)
-
-
 def _random_tie_sort(fitness: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Indices sorted by descending fitness with random tie order."""
     perm = rng.permutation(len(fitness))
@@ -176,6 +162,11 @@ def _random_tie_sort(fitness: np.ndarray, rng: np.random.Generator) -> np.ndarra
 def _score_tournaments(
     scores: np.ndarray, size: int, n: int, rng: np.random.Generator
 ) -> np.ndarray:
+    """Hold ``n`` independent size-``size`` tournaments on ``scores``.
+
+    Entrants are sampled uniformly with replacement; the highest score
+    wins, ties settled uniformly among the tied entrants.
+    """
     entrants = rng.integers(0, len(scores), size=(n, size))
     vals = scores[entrants]
     is_best = vals == vals.max(axis=1, keepdims=True)
@@ -250,21 +241,6 @@ def niche_counts(
     """
     distinct, inverse = _distinct_rows(points)
     return _clone_counts(_sharing_block(distinct, sigma, alpha, normalize), inverse)
-
-
-def fitness_sharing_select(
-    pop: Population,
-    points: np.ndarray,
-    sigma: float,
-    alpha: float,
-    n: int,
-    rng: np.random.Generator,
-    normalize: bool = True,
-) -> np.ndarray:
-    """Divide each fitness by its niche count among ``points`` (the
-    population's genotypes or phenotypes), then stochastic remainder."""
-    m = niche_counts(points, sigma, alpha, normalize)
-    return stochastic_remainder(pop.total_fitness / m, n, rng)
 
 
 def stochastic_remainder(
@@ -489,19 +465,6 @@ def nsga_front_assignment(
     return shared
 
 
-def nsga_select(
-    pop: Population,
-    sigma: float,
-    alpha: float,
-    n: int,
-    rng: np.random.Generator,
-    normalize: bool = True,
-) -> np.ndarray:
-    """Stochastic remainder over front-ranked, within-front-shared fitness."""
-    shared = nsga_front_assignment(pop.phenotypes, sigma, alpha, normalize)
-    return stochastic_remainder(shared, n, rng)
-
-
 # ---------------------------------------------------------------------------
 # Novelty search
 # ---------------------------------------------------------------------------
@@ -537,15 +500,15 @@ def novelty_scores(
 
 
 def novelty_select(
-    pop: Population, state: NoveltyState, n: int, rng: np.random.Generator
+    pop: Population, state: NoveltyState, k: int, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Score novelty, update the run state in place, then run size-two
-    tournaments on the scores.
+    """Score novelty over the ``k`` nearest neighbors, update the run
+    state in place, then run size-two tournaments on the scores.
 
     Archive update order: threshold additions, burst check on ``pmin``,
     stagnation decay of ``pmin``, then the periodic random save.
     """
-    scores = novelty_scores(pop.phenotypes, state.archive, state.k)
+    scores = novelty_scores(pop.phenotypes, state.archive, k)
     novel = np.flatnonzero(scores > state.pmin)
     state.archive.extend(pop.phenotypes[novel])
     if novel.size > NOVELTY_BURST_LIMIT:
@@ -579,31 +542,35 @@ SCHEMES = {
         lambda pop, state, n, rng: truncation_select(pop, state.params.tr, n, rng),
         "top tr by total fitness parent the next generation"),
     SchemeKind.TOURNAMENT: Scheme(
-        lambda pop, state, n, rng: tournament_select(pop, state.params.ts, n, rng),
+        lambda pop, state, n, rng: _score_tournaments(pop.total_fitness, state.params.ts, n, rng),
         "best total fitness out of ts random entrants"),
     SchemeKind.SHARING_GENOTYPIC: Scheme(
-        lambda pop, state, n, rng: fitness_sharing_select(
-            pop, pop.genotypes, state.params.sigma, state.params.alpha, n, rng,
-            state.params.normalize_distance),
+        lambda pop, state, n, rng: stochastic_remainder(
+            pop.total_fitness / niche_counts(
+                pop.genotypes, state.params.sigma, state.params.alpha,
+                state.params.normalize_sharing), n, rng),
         "fitness divided by genotypic niche count, stochastic remainder"),
     SchemeKind.SHARING_PHENOTYPIC: Scheme(
-        lambda pop, state, n, rng: fitness_sharing_select(
-            pop, pop.phenotypes, state.params.sigma, state.params.alpha, n, rng,
-            state.params.normalize_distance),
+        lambda pop, state, n, rng: stochastic_remainder(
+            pop.total_fitness / niche_counts(
+                pop.phenotypes, state.params.sigma, state.params.alpha,
+                state.params.normalize_sharing), n, rng),
         "fitness divided by phenotypic niche count, stochastic remainder"),
     SchemeKind.LEXICASE: Scheme(
         lambda pop, state, n, rng: lexicase_select(pop, n, rng),
         "filter through shuffled per-trait test cases"),
     SchemeKind.NSGA: Scheme(
-        lambda pop, state, n, rng: nsga_select(
-            pop, state.params.sigma, state.params.alpha, n, rng,
-            state.params.normalize_distance),
+        lambda pop, state, n, rng: stochastic_remainder(
+            nsga_front_assignment(
+                pop.phenotypes, state.params.sigma, state.params.alpha,
+                state.params.normalize_sharing), n, rng),
         "nondominated fronts with within-front fitness sharing"),
     SchemeKind.NOVELTY: Scheme(
-        lambda pop, state, n, rng: novelty_select(pop, state.novelty, n, rng),
+        lambda pop, state, n, rng: novelty_select(
+            pop, state.novelty, state.params.novelty_k, n, rng),
         "size-2 tournaments on mean distance to k nearest phenotypes"),
     SchemeKind.RANDOM: Scheme(
-        lambda pop, state, n, rng: random_select(pop, n, rng),
+        lambda pop, state, n, rng: rng.integers(0, len(pop), size=n),
         "uniform random control"),
 }
 

@@ -20,8 +20,9 @@ Two grids run longer:
   them twice.
 
 On a shared 2-core machine two full runs of the whole test suite took
-186 s and 192 s; setting up criterion 4's two valley grids took 108 s
-of the first, most of it the 50,000-generation lexicase replicates.
+188 s and 183 s. Setting up criterion 4's two valley grids took 108 s
+of an earlier 186 s run, most of it the 50,000-generation lexicase
+replicates.
 
 Sharing-distance reading per grid (the distance normalization flag
 exists because both readings of sigma are defensible):
@@ -49,15 +50,17 @@ from evodiags import (
     NoveltyState,
     Population,
     SchemeKind,
+    SchemeParams,
     activation_genes,
     apply_valleys,
     bonferroni,
+    fresh_scheme_state,
     kruskal_wallis,
     novelty_select,
     read_records_csv,
     run_replicate,
+    select,
     stochastic_remainder,
-    tournament_select,
     translate,
     wilcoxon_rank_sum,
     write_records_csv,
@@ -378,7 +381,8 @@ def test_criterion_7_selection_distributions(monkeypatch):
 
     pheno = np.array([[0.0], [100.0]])
     pop = Population(pheno.copy(), pheno.copy(), pheno.sum(axis=1))
-    idx = tournament_select(pop, 2, 10_000, np.random.default_rng(1))
+    state = fresh_scheme_state(SchemeParams(scheme=SchemeKind.TOURNAMENT, ts=2))
+    idx = select(pop, state, 10_000, np.random.default_rng(1))
     rate = float(np.mean(idx == 1))
     ok &= abs(rate - 0.75) <= 0.02
     details.append(f"tournament-2 better-pick rate {rate:.3f}")
@@ -386,11 +390,11 @@ def test_criterion_7_selection_distributions(monkeypatch):
     # Size-2 novelty tournaments on scores {0, 50}: member 1 sits far from
     # the archive point that member 0 duplicates.
     monkeypatch.setattr(selection, "NOVELTY_SAVE_PERIOD", 10**9)
-    state = NoveltyState(k=1, pmin=10**9)
+    state = NoveltyState(pmin=10**9)
     state.archive.append(np.array([0.0, 0.0]))
     pheno = np.array([[0.0, 0.0], [30.0, 40.0]])
     pop = Population(pheno.copy(), pheno.copy(), pheno.sum(axis=1))
-    idx = novelty_select(pop, state, 10_000, np.random.default_rng(2))
+    idx = novelty_select(pop, state, k=1, n=10_000, rng=np.random.default_rng(2))
     nov_rate = float(np.mean(idx == 1))
     ok &= abs(nov_rate - 0.75) <= 0.02
     details.append(f"novelty-2 better-pick rate {nov_rate:.3f}")

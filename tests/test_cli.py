@@ -114,12 +114,12 @@ def test_replicate_config_carries_every_setting():
     assert rc.seed == replicate_seed(7, "valley-crossing", "novelty", 2)
     assert (rc.pop_size, rc.generations, rc.dim, rc.record_stride) == (16, 100, 4, 10)
     assert (rc.init_lo, rc.init_hi, rc.include_archive) == (0.5, 2.0, True)
-    assert rc.mutation == MutationParams(per_gene_rate=0.05, step_stddev=2.5)
+    assert rc.mutation == MutationParams(mutation_rate=0.05, mutation_stddev=2.5)
     assert rc.scheme == SchemeParams(
         scheme=SchemeKind.NOVELTY, tr=3, ts=4, sigma=0.1, alpha=2.0,
-        normalize_distance=False, novelty_k=5, pmin=1.5)
+        normalize_sharing=False, novelty_k=5, pmin=1.5)
     novelty = fresh_scheme_state(rc.scheme).novelty
-    assert (novelty.k, novelty.pmin, novelty.archive) == (5, 1.5, [])
+    assert (novelty.pmin, novelty.archive) == (1.5, [])
 
 
 def test_unknown_key_is_named_in_error(tmp_path):
@@ -378,16 +378,27 @@ def test_main_describe_subcommand(capsys):
     assert "selection schemes" in capsys.readouterr().out
 
 
-def test_console_entry_point_runs():
+def run_python(*args):
+    """Run a fresh interpreter that imports the package from ``src``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
                       env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "evodiags.cli", "describe"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point_runs():
+    proc = run_python("-m", "evodiags.cli", "describe")
     assert proc.returncode == 0
     assert "diagnostics:" in proc.stdout
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about 0.4 s to import, a large share of a short
+    # run's start-up; the statistics need only scipy.special.
+    proc = run_python("-c", "import sys, evodiags.cli; print('scipy.stats' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_default_replicate_config_is_the_library_default():
@@ -417,16 +428,26 @@ def test_main_rejects_a_setting_before_creating_the_output_dir(tmp_path, capsys)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, name", [
-    ("sigma", "sigma"), ("alpha", "alpha"), ("pmin", "pmin"),
-    ("mutation_stddev", "step_stddev"),
-])
-def test_main_rejects_a_nan_setting_before_creating_the_output_dir(tmp_path, capsys, key, name):
+@pytest.mark.parametrize("key", ["diagnostics", "schemes"])
+def test_main_rejects_an_empty_list_before_creating_the_output_dir(tmp_path, capsys, key):
     path = tmp_path / "run.cfg"
-    path.write_text(f"{key} = nan\n")
+    path.write_text(f"{key} =\n")
     out = tmp_path / "grid"
     code = main(["run", "--config", str(path), "--output-dir", str(out),
                  "--generations", "2", "--replicates", "1", "--workers", "1"])
     assert code == 1
-    assert f"{name} must be" in capsys.readouterr().err
+    assert f"{key} must name at least one" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["sigma", "alpha", "pmin", "mutation_stddev"])
+def test_main_rejects_a_nan_setting_before_creating_the_output_dir(tmp_path, capsys, key, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {value}\n")
+    out = tmp_path / "grid"
+    code = main(["run", "--config", str(path), "--output-dir", str(out),
+                 "--generations", "2", "--replicates", "1", "--workers", "1"])
+    assert code == 1
+    assert f"{key} must be" in capsys.readouterr().err
     assert not out.exists()

@@ -66,24 +66,26 @@ def test_random_genotypes_match_sequential_single_draws():
 
 def test_mutation_params_validation():
     with pytest.raises(ConfigurationError):
-        MutationParams(per_gene_rate=-0.1)
+        MutationParams(mutation_rate=-0.1)
     with pytest.raises(ConfigurationError):
-        MutationParams(per_gene_rate=1.5)
-    with pytest.raises(ConfigurationError):
-        MutationParams(step_stddev=0.0)
+        MutationParams(mutation_rate=1.5)
+    for stddev in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="mutation_stddev must be"):
+            MutationParams(mutation_stddev=stddev)
 
 
 def test_mutate_zero_rate_is_identity():
     rng = np.random.default_rng(3)
     g = rng.uniform(0, 100, size=50)
-    out = mutate_batch(g[None].copy(), MutationParams(per_gene_rate=0.0), rng)[0]
+    out = mutate_batch(g[None].copy(), MutationParams(mutation_rate=0.0), rng)[0]
     assert np.array_equal(out, g)
 
 
 def test_mutate_vanishing_stddev_is_near_identity():
     rng = np.random.default_rng(4)
     g = rng.uniform(1, 99, size=50)
-    out = mutate_batch(g[None].copy(), MutationParams(per_gene_rate=1.0, step_stddev=1e-12), rng)[0]
+    params = MutationParams(mutation_rate=1.0, mutation_stddev=1e-12)
+    out = mutate_batch(g[None].copy(), params, rng)[0]
     assert np.max(np.abs(out - g)) < 1e-9
 
 
@@ -91,7 +93,8 @@ def test_mutate_mean_step_magnitude_matches_half_normal():
     # With every gene mutating once, E|delta| = sqrt(2/pi) ~= 0.7979.
     rng = np.random.default_rng(5)
     g = np.full(10_000, 50.0)
-    out = mutate_batch(g[None].copy(), MutationParams(per_gene_rate=1.0, step_stddev=1.0), rng)[0]
+    params = MutationParams(mutation_rate=1.0, mutation_stddev=1.0)
+    out = mutate_batch(g[None].copy(), params, rng)[0]
     mean_abs = np.mean(np.abs(out - g))
     assert mean_abs == pytest.approx(np.sqrt(2.0 / np.pi), rel=0.05)
 
@@ -100,7 +103,7 @@ def test_mutate_mutates_the_given_block_in_place():
     rng = np.random.default_rng(6)
     g = rng.uniform(0, 100, size=(3, 20))
     before = g.copy()
-    out = mutate_batch(g, MutationParams(per_gene_rate=1.0), rng)
+    out = mutate_batch(g, MutationParams(mutation_rate=1.0), rng)
     assert out is g
     assert np.all(g != before)  # every gene was hit
 
@@ -109,7 +112,7 @@ def test_mutate_mutates_the_given_block_in_place():
 def test_mutation_fuzz_never_leaves_bounds(start):
     # 10**6 mutation draws pinned at each boundary.
     rng = np.random.default_rng(int(start) + 7)
-    params = MutationParams(per_gene_rate=1.0, step_stddev=1.0)
+    params = MutationParams(mutation_rate=1.0, mutation_stddev=1.0)
     block = np.full((100, 10_000), start)
     out = mutate_batch(block, params, rng)
     assert out.min() >= 0.0

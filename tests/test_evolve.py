@@ -23,7 +23,7 @@ def config(diag=DiagnosticKind.EXPLOITATION_RATE, scheme=SchemeKind.RANDOM, **kw
 
 def test_zero_mutation_single_member_is_a_fixed_point():
     cfg = config(pop_size=1, generations=30,
-                 mutation=MutationParams(per_gene_rate=0.0))
+                 mutation=MutationParams(mutation_rate=0.0))
     result = run_replicate(cfg)
     fitness = [r.best_total_fitness for r in result.records]
     assert len(set(fitness)) == 1
@@ -31,7 +31,7 @@ def test_zero_mutation_single_member_is_a_fixed_point():
 
 def test_truncation_one_with_zero_mutation_copies_the_best():
     cfg = config(scheme=SchemeKind.TRUNCATION, generations=1,
-                 mutation=MutationParams(per_gene_rate=0.0))
+                 mutation=MutationParams(mutation_rate=0.0))
     cfg.scheme = SchemeParams(scheme=SchemeKind.TRUNCATION, tr=1)
     result = run_replicate(cfg)
     # After one generation everyone is a copy of the generation-0 best.
@@ -93,7 +93,7 @@ def test_novelty_state_does_not_leak_between_replicates():
 
 def test_population_bounds_hold_throughout():
     cfg = config(scheme=SchemeKind.TOURNAMENT, generations=1500, pop_size=8,
-                 dim=3, mutation=MutationParams(per_gene_rate=0.5, step_stddev=30.0))
+                 dim=3, mutation=MutationParams(mutation_rate=0.5, mutation_stddev=30.0))
     result = run_replicate(cfg)  # internal spot asserts cover bounds
     assert result.records[-1].best_performance <= 100.0
 

@@ -14,19 +14,15 @@ from evodiags import (
     SchemeKind,
     SchemeParams,
     evaluate_population,
-    fitness_sharing_select,
     fresh_scheme_state,
     lexicase_select,
     mutate_batch,
     novelty_scores,
     novelty_select,
-    nsga_select,
     random_genotypes,
-    random_select,
     select,
     sharing_kernel,
     stochastic_remainder,
-    tournament_select,
     truncation_select,
 )
 from evodiags import selection
@@ -131,7 +127,8 @@ def test_truncation_only_top_tr_ever_selected():
 def test_tournament_size_one_is_uniform_random():
     pop = fitness_pop([0.0, 100.0])
     rng = np.random.default_rng(4)
-    idx = tournament_select(pop, ts=1, n=20_000, rng=rng)
+    idx = select(pop, fresh_scheme_state(SchemeParams(scheme=SchemeKind.TOURNAMENT, ts=1)),
+                 20_000, rng)
     share = np.mean(idx == 1)
     assert share == pytest.approx(0.5, abs=0.02)
 
@@ -139,7 +136,8 @@ def test_tournament_size_one_is_uniform_random():
 def test_tournament_containing_the_best_is_won_by_it():
     fitness = np.array([1.0, 2.0, 3.0, 99.0])
     pop = fitness_pop(fitness)
-    idx = tournament_select(pop, ts=4, n=10_000, rng=np.random.default_rng(5))
+    idx = select(pop, fresh_scheme_state(SchemeParams(scheme=SchemeKind.TOURNAMENT, ts=4)),
+                 10_000, np.random.default_rng(5))
     # Sampling is with replacement, so the best wins exactly when present:
     # P = 1 - (3/4)**4.
     expected = 1.0 - (3.0 / 4.0) ** 4
@@ -148,13 +146,15 @@ def test_tournament_containing_the_best_is_won_by_it():
 
 def test_tournament_two_on_zero_vs_hundred_picks_better_three_quarters():
     pop = fitness_pop([0.0, 100.0])
-    idx = tournament_select(pop, ts=2, n=10_000, rng=np.random.default_rng(6))
+    idx = select(pop, fresh_scheme_state(SchemeParams(scheme=SchemeKind.TOURNAMENT, ts=2)),
+                 10_000, np.random.default_rng(6))
     assert np.mean(idx == 1) == pytest.approx(0.75, abs=0.02)
 
 
 def test_tournament_ties_resolved_uniformly():
     pop = fitness_pop([5.0, 5.0])
-    idx = tournament_select(pop, ts=2, n=10_000, rng=np.random.default_rng(7))
+    idx = select(pop, fresh_scheme_state(SchemeParams(scheme=SchemeKind.TOURNAMENT, ts=2)),
+                 10_000, np.random.default_rng(7))
     assert np.mean(idx == 0) == pytest.approx(0.5, abs=0.02)
 
 
@@ -164,7 +164,8 @@ def test_rank_schemes_invariant_under_monotone_fitness_transform():
     pop_raw = fitness_pop(fitness)
     pop_warped = fitness_pop(np.exp(fitness / 25.0) + 3.0)
     for scheme in (lambda p, r: truncation_select(p, 4, 16, r),
-                   lambda p, r: tournament_select(p, 8, 16, r)):
+                   lambda p, r: select(p, fresh_scheme_state(
+                       SchemeParams(scheme=SchemeKind.TOURNAMENT, ts=8)), 16, r)):
         a = scheme(pop_raw, np.random.default_rng(99))
         b = scheme(pop_warped, np.random.default_rng(99))
         assert np.array_equal(a, b)
@@ -205,7 +206,9 @@ def test_niche_count_two_members_at_half_sigma():
 def test_sharing_identical_members_select_uniformly_in_expectation():
     pop = make_pop(np.full((4, 2), 10.0))
     rng = np.random.default_rng(9)
-    counts = Counter(fitness_sharing_select(pop, pop.phenotypes, 0.3, 1.0, 4000, rng))
+    state = fresh_scheme_state(
+        SchemeParams(scheme=SchemeKind.SHARING_PHENOTYPIC, sigma=0.3, alpha=1.0))
+    counts = Counter(select(pop, state, 4000, rng))
     for i in range(4):
         assert counts[i] == pytest.approx(1000, abs=120)
 
@@ -216,7 +219,9 @@ def test_sharing_two_distant_clusters_follow_raw_fitness_ratio():
     pheno = pheno + np.random.default_rng(1).normal(0, 1e-9, size=pheno.shape)
     pop = make_pop(np.abs(pheno))
     rng = np.random.default_rng(10)
-    idx = fitness_sharing_select(pop, pop.phenotypes, 0.3, 1.0, 30_000, rng)
+    state = fresh_scheme_state(
+        SchemeParams(scheme=SchemeKind.SHARING_PHENOTYPIC, sigma=0.3, alpha=1.0))
+    idx = select(pop, state, 30_000, rng)
     high = np.mean(np.asarray(idx) < 3)
     assert high / (1 - high) == pytest.approx(2.0, rel=0.05)
 
@@ -224,7 +229,9 @@ def test_sharing_two_distant_clusters_follow_raw_fitness_ratio():
 def test_sharing_sigma_zero_reduces_to_raw_stochastic_remainder():
     fitness = np.array([4.0, 2.0, 2.0])
     pop = fitness_pop(fitness)
-    idx = fitness_sharing_select(pop, pop.phenotypes, 0.0, 1.0, 8, np.random.default_rng(11))
+    state = fresh_scheme_state(
+        SchemeParams(scheme=SchemeKind.SHARING_PHENOTYPIC, sigma=0.0, alpha=1.0))
+    idx = select(pop, state, 8, np.random.default_rng(11))
     assert Counter(idx) == {0: 4, 1: 2, 2: 2}
 
 
@@ -237,10 +244,11 @@ def test_sharing_genotypic_uses_genotypes():
     geno = np.array([[0.0, 0.0], [0.0, 0.0], [100.0, 100.0]])
     pop = make_pop(pheno, genotypes=geno)
     rng = np.random.default_rng(12)
-    assert Counter(fitness_sharing_select(pop, pop.genotypes, 0.3, 1.0, 4, rng)) == \
-        {0: 1, 1: 1, 2: 2}
-    assert Counter(fitness_sharing_select(pop, pop.phenotypes, 0.3, 1.0, 3, rng)) == \
-        {0: 1, 1: 1, 2: 1}
+    genotypic, phenotypic = (
+        fresh_scheme_state(SchemeParams(scheme=scheme, sigma=0.3, alpha=1.0))
+        for scheme in (SchemeKind.SHARING_GENOTYPIC, SchemeKind.SHARING_PHENOTYPIC))
+    assert Counter(select(pop, genotypic, 4, rng)) == {0: 1, 1: 1, 2: 2}
+    assert Counter(select(pop, phenotypic, 3, rng)) == {0: 1, 1: 1, 2: 1}
 
 
 def test_shared_fitness_never_exceeds_raw():
@@ -565,7 +573,8 @@ def test_fronts_match_brute_force_on_random_grids():
 
 def test_nsga_identical_front_selects_uniformly():
     pop = make_pop(np.full((8, 2), 7.0))
-    idx = nsga_select(pop, 0.3, 1.0, 8000, np.random.default_rng(23))
+    state = fresh_scheme_state(SchemeParams(scheme=SchemeKind.NSGA, sigma=0.3, alpha=1.0))
+    idx = select(pop, state, 8000, np.random.default_rng(23))
     counts = np.bincount(idx, minlength=8)
     assert counts.min() > 800
 
@@ -650,8 +659,9 @@ def evolved_under_nsga(diagnostic, seed, generations):
     rng = np.random.default_rng(seed)
     pop = evaluate_population(random_genotypes(512, 100, 0.0, 1.0, rng), diagnostic)
     pops = [pop]
+    state = fresh_scheme_state(SchemeParams(scheme=SchemeKind.NSGA, sigma=0.3, alpha=1.0))
     for _ in range(generations):
-        parents = nsga_select(pop, 0.3, 1.0, 512, rng)
+        parents = select(pop, state, 512, rng)
         pop = evaluate_population(mutate_batch(pop.genotypes[parents], MutationParams(), rng),
                                   diagnostic)
         pops.append(pop)
@@ -852,9 +862,9 @@ def test_novelty_archive_threshold_and_burst_raise(monkeypatch):
     monkeypatch.setattr(selection, "NOVELTY_SAVE_PERIOD", 10**9)
     # Six members pairwise far apart: scores exceed pmin, burst > 4 raises it.
     pheno = np.diag(np.full(6, 90.0))
-    state = NoveltyState(k=2, pmin=10.0)
+    state = NoveltyState(pmin=10.0)
     pop = make_pop(pheno)
-    novelty_select(pop, state, 6, np.random.default_rng(26))
+    novelty_select(pop, state, k=2, n=6, rng=np.random.default_rng(26))
     assert len(state.archive) == 6
     assert state.pmin == pytest.approx(12.5)
     assert state.generations_since_add == 0
@@ -863,26 +873,26 @@ def test_novelty_archive_threshold_and_burst_raise(monkeypatch):
 def test_novelty_pmin_decays_after_quiet_window(monkeypatch):
     monkeypatch.setattr(selection, "NOVELTY_SAVE_PERIOD", 10**9)
     pheno = np.full((4, 2), 5.0)  # all identical: scores 0, never archived
-    state = NoveltyState(k=15, pmin=10.0)
+    state = NoveltyState(pmin=10.0)
     pop = make_pop(pheno)
     rng = np.random.default_rng(27)
     for _ in range(499):
-        novelty_select(pop, state, 4, rng)
+        novelty_select(pop, state, k=15, n=4, rng=rng)
     assert state.pmin == pytest.approx(10.0)
-    novelty_select(pop, state, 4, rng)
+    novelty_select(pop, state, k=15, n=4, rng=rng)
     assert state.pmin == pytest.approx(9.5)
     assert state.generations_since_add == 0
     for _ in range(500):
-        novelty_select(pop, state, 4, rng)
+        novelty_select(pop, state, k=15, n=4, rng=rng)
     assert state.pmin == pytest.approx(10.0 * 0.95 * 0.95)
 
 
 def test_novelty_random_save_appends_population_phenotype(monkeypatch):
     monkeypatch.setattr(selection, "NOVELTY_SAVE_PERIOD", 1)  # save every generation
     pheno = np.full((3, 2), 1.0)
-    state = NoveltyState(k=15, pmin=10.0)
+    state = NoveltyState(pmin=10.0)
     pop = make_pop(pheno)
-    novelty_select(pop, state, 3, np.random.default_rng(28))
+    novelty_select(pop, state, k=15, n=3, rng=np.random.default_rng(28))
     assert len(state.archive) == 1
     assert np.array_equal(state.archive[0], [1.0, 1.0])
     # Random saves do not reset the threshold stagnation counter.
@@ -893,12 +903,12 @@ def test_novelty_tournament_prefers_high_scores(monkeypatch):
     monkeypatch.setattr(selection, "NOVELTY_SAVE_PERIOD", 10**9)
     pheno = np.array([[0.0, 0.0], [30.0, 40.0]])  # scores 50 each... symmetric
     # Use an archive to break symmetry: member 0 sits on the archive point.
-    state = NoveltyState(k=1, pmin=10**9)
+    state = NoveltyState(pmin=10**9)
     state.archive.append(np.array([0.0, 0.0]))
     pop = make_pop(pheno)
     wins = 0
     trials = 10_000
-    idx = novelty_select(pop, state, trials, np.random.default_rng(29))
+    idx = novelty_select(pop, state, k=1, n=trials, rng=np.random.default_rng(29))
     wins = np.mean(np.asarray(idx) == 1)
     # Scores: member 0 -> 0 (clone of archive point), member 1 -> 50.
     assert wins == pytest.approx(0.75, abs=0.02)
@@ -907,13 +917,13 @@ def test_novelty_tournament_prefers_high_scores(monkeypatch):
 def test_novelty_archive_append_only_across_generations(monkeypatch):
     monkeypatch.setattr(selection, "NOVELTY_SAVE_PERIOD", 50)
     rng = np.random.default_rng(30)
-    state = NoveltyState(k=3, pmin=5.0)
+    state = NoveltyState(pmin=5.0)
     archive = state.archive
     sizes = []
     for _ in range(30):
         pheno = rng.uniform(0, 100, size=(10, 2))
         pop = make_pop(pheno)
-        novelty_select(pop, state, 10, rng)
+        novelty_select(pop, state, k=3, n=10, rng=rng)
         sizes.append(len(state.archive))
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))
     assert state.archive is archive  # one list for the whole run
@@ -927,12 +937,14 @@ def test_novelty_archive_append_only_across_generations(monkeypatch):
 
 def test_random_select_single_member():
     pop = fitness_pop([5.0])
-    assert np.array_equal(random_select(pop, 6, np.random.default_rng(31)), np.zeros(6))
+    state = fresh_scheme_state(SchemeParams(scheme=SchemeKind.RANDOM))
+    assert np.array_equal(select(pop, state, 6, np.random.default_rng(31)), np.zeros(6))
 
 
 def test_random_select_binomial_spread():
     pop = fitness_pop([1.0, 2.0, 3.0, 4.0])
-    idx = random_select(pop, 10_000, np.random.default_rng(32))
+    state = fresh_scheme_state(SchemeParams(scheme=SchemeKind.RANDOM))
+    idx = select(pop, state, 10_000, np.random.default_rng(32))
     counts = np.bincount(idx, minlength=4)
     sd = np.sqrt(10_000 * 0.25 * 0.75)
     assert np.all(np.abs(counts - 2500) < 3 * sd)
@@ -940,8 +952,9 @@ def test_random_select_binomial_spread():
 
 def test_random_select_deterministic():
     pop = fitness_pop([1.0, 2.0])
-    a = random_select(pop, 50, np.random.default_rng(33))
-    b = random_select(pop, 50, np.random.default_rng(33))
+    state = fresh_scheme_state(SchemeParams(scheme=SchemeKind.RANDOM))
+    a = select(pop, state, 50, np.random.default_rng(33))
+    b = select(pop, state, 50, np.random.default_rng(33))
     assert np.array_equal(a, b)
 
 
@@ -962,13 +975,11 @@ def test_scheme_params_validation():
     with pytest.raises(ConfigurationError):
         SchemeParams(scheme=SchemeKind.TOURNAMENT, ts=0)
     with pytest.raises(ConfigurationError):
-        SchemeParams(scheme=SchemeKind.NSGA, sigma=-1.0)
-    with pytest.raises(ConfigurationError):
-        SchemeParams(scheme=SchemeKind.NSGA, alpha=0.0)
-    with pytest.raises(ConfigurationError):
         SchemeParams(scheme=SchemeKind.NOVELTY, novelty_k=0)
-    with pytest.raises(ConfigurationError):
-        SchemeParams(scheme=SchemeKind.NOVELTY, pmin=0.0)
+    for key, bad in (("sigma", -1.0), ("alpha", 0.0), ("pmin", 0.0)):
+        for value in (bad, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigurationError, match=f"{key} must be"):
+                SchemeParams(scheme=SchemeKind.NSGA, **{key: value})
 
 
 def test_scheme_and_novelty_params_reject_assignment():
