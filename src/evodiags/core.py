@@ -111,13 +111,17 @@ def random_genotypes(
 
 
 def _check_init_range(dim: int, lo: float, hi: float) -> None:
+    # The messages name the keys of a run config, which are the field names
+    # of ReplicateConfig.
     if dim < 1:
-        raise ConfigurationError(f"dimensionality must be >= 1, got {dim}")
+        raise ConfigurationError(f"dim must be >= 1, got {dim}")
     if not lo < hi:
-        raise ConfigurationError(f"initialization range requires lo < hi, got [{lo}, {hi})")
+        raise ConfigurationError(
+            f"initialization range requires init_lo < init_hi, got "
+            f"init_lo = {lo}, init_hi = {hi}")
     if lo < LOWER_BOUND or hi > UPPER_BOUND:
         raise ConfigurationError(
-            f"initialization range [{lo}, {hi}) must lie within "
+            f"initialization range init_lo = {lo}, init_hi = {hi} must lie within "
             f"[{LOWER_BOUND}, {UPPER_BOUND}]")
 
 

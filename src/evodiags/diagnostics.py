@@ -51,6 +51,12 @@ class DiagnosticKind(str, Enum):
 VALLEY_START: float = 8.0
 PEAKS = VALLEY_START + np.array([k * (k + 1) / 2.0 for k in range(14)])
 PEAKS.flags.writeable = False
+# The last peak at or below each whole number 0..100. The peaks are whole
+# numbers, so the last peak at or below v is the one at or below
+# floor(v). Every entry below VALLEY_START wraps to the last peak and is
+# never used, as such v lie in the identity region.
+_ANCHORS = PEAKS[np.searchsorted(PEAKS, np.arange(101.0), side="right") - 1]
+_ANCHORS.flags.writeable = False
 
 
 def all_diagnostic_names() -> list[str]:
@@ -126,13 +132,10 @@ def apply_valleys(traits: np.ndarray) -> np.ndarray:
     peaks the output descends from the last peak with slope -1 and snaps
     back to the input value at the next peak. Past the final peak the
     last descent simply continues to the domain bound. Traits come from
-    in-range genes, so they lie in [0, 100].
+    in-range genes, so they lie in [0, 100], the anchor table's domain.
     """
     v = np.asarray(traits, dtype=np.float64)
-    # The last peak at or below v. The first peak is VALLEY_START, so every
-    # v without one lies in the identity region v <= VALLEY_START, where
-    # the wrapped index -1 picks an anchor that is never used.
-    anchor = PEAKS[np.searchsorted(PEAKS, v, side="right") - 1]
+    anchor = _ANCHORS[v.astype(np.intp)]
     return np.where(v <= VALLEY_START, v, anchor - (v - anchor))
 
 

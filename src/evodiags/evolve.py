@@ -54,7 +54,7 @@ class ReplicateConfig:
                 f"tr={self.scheme.tr} exceeds population size {self.pop_size}")
         if self.record_stride < 1:
             raise ConfigurationError(
-                f"record_stride must be >= 1, got {self.record_stride}")
+                f"stride (record_stride) must be >= 1, got {self.record_stride}")
 
 
 @dataclass

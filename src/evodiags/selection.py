@@ -328,6 +328,34 @@ def _trait_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _run_spans(radix: np.ndarray, cases: np.ndarray, window: int) -> np.ndarray:
+    """The running radix products of each row's leading cases, over the
+    longest run whose product stays below ``_KEY_LIMIT`` in every row.
+
+    The products are exact below the limit and never fall back below it
+    once past, and a single case always fits, its radix being at most N.
+    So once one row passes the limit within the first ``window`` cases,
+    the shortest run ends there, as it would over all cases; until then
+    the window doubles.
+    """
+    while True:
+        spans = np.cumprod(radix[cases[:, :window]], axis=1)
+        if window >= cases.shape[1] or (spans[:, -1] >= _KEY_LIMIT).any():
+            break
+        window *= 2
+    return spans[:, :int((spans < _KEY_LIMIT).sum(axis=1).min())]
+
+
+def _candidate_block(alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's alive columns, ascending and padded to the longest
+    row's count, and the mask of the entries that are not padding."""
+    counts = alive.sum(axis=1)
+    mask = np.arange(counts.max()) < counts[:, np.newaxis]
+    block = np.zeros(mask.shape, dtype=np.intp)
+    block[mask] = np.nonzero(alive)[1]
+    return block, mask
+
+
 def lexicase_select(pop: Population, n: int, rng: np.random.Generator) -> np.ndarray:
     """Filter candidates through shuffled test cases, one parent at a time.
 
@@ -344,13 +372,20 @@ def lexicase_select(pop: Population, n: int, rng: np.random.Generator) -> np.nda
     whose traits, read in that order, form the lexicographically largest
     sequence. Traits are replaced by their dense ranks within each
     column, which keeps every tie and every order, so a run of
-    consecutive cases reads as one mixed-radix number per row, computed
-    for all picks at once by one matrix product. A run lasts while its
-    radix product stays below ``_KEY_LIMIT``, where the numbers are exact
-    floats. Each pass keys one run, and later passes key only the picks
-    still open, those left with more than one candidate. With about 50
-    ranks per column a run covers about 9 cases, so a 100-case population
-    can take 10 or more passes, but the open picks thin out quickly.
+    consecutive cases reads as one mixed-radix number per row. A run
+    lasts while its radix product stays below ``_KEY_LIMIT``, where the
+    numbers are exact floats: any sum of their terms is an exact integer.
+    Each pass keys one run for the picks still open, those left with
+    more than one candidate. The first pass keys every distinct row for
+    all picks at once by one matrix product. With about 50 ranks per
+    column a run covers about 9 cases, so a 100-case population can take
+    10 or more passes, but after the first no open pick keeps more than
+    about 15 of some 400 rows. So the survivors are then gathered into
+    one ascending, padded row of candidates per open pick, and each later
+    pass keys only those, from the ranks of its run's cases. The lowest
+    surviving row wins either way. When the first run covers half the
+    cases or more, as with few ranks per column, the one or two passes
+    left key every row, which costs less than the gather.
     """
     pheno = pop.phenotypes
     dim = pheno.shape[1]
@@ -359,35 +394,49 @@ def lexicase_select(pop: Population, n: int, rng: np.random.Generator) -> np.nda
     winner_rows = np.zeros(n, dtype=np.int64)
     ranks = _trait_ranks(distinct).astype(np.float64)
     radix = ranks.max(axis=1) + 1.0
-    # The picks still open, their case orders, and (after the first pass)
-    # alive[i, r], which says row r is still a candidate for open pick i.
+    # The picks still open, their case orders, their candidates, and
+    # (after the first pass) alive[i, j], which says candidate j of open
+    # pick i is still alive. Candidates are every row, column j being row
+    # j, until the first pass's survivors are gathered; then candidates[i]
+    # holds pick i's rows, ascending, and its padding is never alive.
     # Distinct rows cannot tie on every case, so each pick ends with
     # exactly one row alive. A lone distinct row ranks 0 with radix 1 on
     # every case, so one pass keys every pick to it and leaves none open.
     picks = np.arange(n)
-    start = 0
+    candidates = None
+    start, window = 0, dim
     while start < dim:
-        # Radix products over each pick's remaining cases. They are exact
-        # below the limit and never fall back below it once past, and a
-        # single case always fits, its radix being at most N.
-        spans = np.cumprod(radix[orders[:, start:]], axis=1)
-        length = int((spans < _KEY_LIMIT).sum(axis=1).min())
+        # The first window is every case; a later one starts at twice the
+        # last run, as the runs of later passes are about as long.
+        spans = _run_spans(radix, orders[:, start:], window)
+        length = spans.shape[1]
         # A case's place value is the radix product of the run's
         # later cases; the quotient of exact integers is exact.
-        place = spans[:, length - 1:length] / spans[:, :length]
-        weights = np.zeros((picks.size, dim))
+        place = spans[:, -1:] / spans
+        cases = orders[:, start:start + length]
         rows = np.arange(picks.size)[:, np.newaxis]
-        weights[rows, orders[:, start:start + length]] = place
-        keys = weights @ ranks
+        if candidates is None:
+            weights = np.zeros((picks.size, dim))
+            weights[rows, cases] = place
+            keys = weights @ ranks
+        else:
+            # keys[i, j] sums place[i, k] * ranks[cases[i, k], candidates[i, j]].
+            gathered = ranks[cases[:, :, np.newaxis], candidates[:, np.newaxis, :]]
+            keys = np.matmul(place[:, np.newaxis, :], gathered)[:, 0]
         if start:
             keys = np.where(alive, keys, -1.0)
         alive = keys == keys.max(axis=1, keepdims=True)
-        winner_rows[picks] = alive.argmax(axis=1)
-        start += length
+        first = alive.argmax(axis=1)
+        winner_rows[picks] = first if candidates is None else candidates[rows[:, 0], first]
+        start, window = start + length, 2 * length
         still_open = alive.sum(axis=1) > 1
         if not still_open.any():
             break
         picks, orders, alive = picks[still_open], orders[still_open], alive[still_open]
+        if candidates is not None:
+            candidates = candidates[still_open]
+        elif dim - start > length:
+            candidates, alive = _candidate_block(alive)
     # Uniform pick among the clones sharing the winning phenotype.
     members_by_row = np.argsort(inverse, kind="stable")
     class_sizes = np.bincount(inverse, minlength=distinct.shape[0])

@@ -219,6 +219,18 @@ def test_sawtooth_slopes_are_unit_magnitude():
     assert np.all(np.isclose(np.abs(slopes[~straddles]), 1.0))
 
 
+def test_sawtooth_anchor_table_matches_searchsorted_bit_for_bit():
+    # The table lookup against the sorted-peak search it replaced, on
+    # every peak, each peak's neighbouring floats, and the region edges.
+    peaks = np.array(SAWTOOTH_PEAKS)
+    values = np.concatenate([
+        peaks, np.nextafter(peaks, 0.0), np.nextafter(peaks, 101.0),
+        [0.0, 8.0, 100.0, np.nextafter(100.0, 0.0)]])
+    anchor = peaks[np.searchsorted(peaks, values, side="right") - 1]
+    expected = np.where(values <= VALLEY_START, values, anchor - (values - anchor))
+    assert np.array_equal(apply_valleys(values).view(np.uint64), expected.view(np.uint64))
+
+
 def test_apply_valleys_preserves_inactive_zeros():
     assert np.array_equal(apply_valleys(np.zeros(5)), np.zeros(5))
 

@@ -511,6 +511,59 @@ def test_lexicase_matches_numpy_oracle_at_headline_scale():
         pop = evaluate_population(offspring, diagnostic)
 
 
+def test_run_spans_match_the_products_over_every_case():
+    # From whatever window it starts, the run and its radix products are
+    # those the cumulative product over every remaining case gives.
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        dim, rows = int(rng.integers(1, 120)), int(rng.integers(1, 20))
+        radix = rng.choice([1.0, 2.0, 3.0, 42.0, 512.0], size=dim, p=rng.dirichlet(np.ones(5)))
+        cases = rng.permuted(np.tile(np.arange(dim), (rows, 1)), axis=1)
+        spans = np.cumprod(radix[cases], axis=1)
+        length = int((spans < 2.0 ** 53).sum(axis=1).min())
+        for window in (1, 2, 7, dim):
+            got = selection._run_spans(radix, cases, window)
+            assert np.array_equal(got, spans[:, :length])
+
+
+def mutant_block(rng, losses, dim=100):
+    """40 rows whose columns each hold the levels 0..39 in a random
+    order, then, for each case k and each step in ``losses``, a mutant of
+    a parent at level 41 everywhere that loses that step on case k alone.
+    Each column holds 42 values, so one exact key covers 9 cases. The
+    mutants tie on every case but their own, so a key over 9 cases leaves
+    the mutants of every other case tied: with one step lost and 40
+    cases, 31 of them."""
+    below = rng.permuted(np.tile(np.arange(40.0), (dim, 1)), axis=1).T
+    mutants = np.full((len(losses) * dim, dim), 41.0)
+    for i, (step, case) in enumerate((s, c) for s in losses for c in range(dim)):
+        mutants[i, case] -= step
+    return rng.permutation(np.vstack([below, mutants]))
+
+
+def test_lexicase_candidate_passes_match_the_oracle():
+    # Once the first key has run, later keys cover each open pick's own
+    # candidate rows only. These blocks reach that path's edges.
+    rng = np.random.default_rng(31)
+    # Many rows tied after the first key: 40 one-step mutants, no parent.
+    pheno = mutant_block(rng, [1.0], dim=40)
+    assert key_cases(pheno) == (9, 9)
+    cases_used = lexicase_against_oracle(pheno, 64, int(rng.integers(1 << 32)))
+    assert set(cases_used) == {39}  # the last two mutants part at the 39th case
+    # Columns of one value (radix 1) between many-valued ones: the mutants
+    # that lost on them become the parent's clones, and every key runs
+    # over them without a change of place value.
+    for constant in (slice(None, None, 3), slice(1, None, 2)):
+        pheno = mutant_block(rng, [1.0])
+        pheno[:, constant] = 7.0
+        lexicase_against_oracle(pheno, 64, int(rng.integers(1 << 32)))
+    # Picks open until the last case: the two mutants that lose one and two
+    # steps on the last case tie on all others.
+    pheno = mutant_block(rng, [1.0, 2.0])
+    cases_used = lexicase_against_oracle(pheno, 32, int(rng.integers(1 << 32)))
+    assert set(cases_used) == {100}
+
+
 def test_lexicase_single_improvement_wins_among_many_one_step_losses():
     # 60 mutants each lose one step on their own trait; one gains a step
     # on trait 65. The gainer ties everyone else wherever it does not win,
