@@ -91,9 +91,9 @@ class ExperimentConfig:
 
     def replicate_config(self, diagnostic: str, scheme: str, rep: int) -> ReplicateConfig:
         return ReplicateConfig(
-            diagnostic=DiagnosticKind(diagnostic),
+            diagnostic=diagnostic,
             scheme=SchemeParams(
-                scheme=SchemeKind(scheme),
+                scheme=scheme,
                 tr=self.tr,
                 ts=self.ts,
                 sigma=self.sigma,

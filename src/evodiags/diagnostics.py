@@ -51,11 +51,13 @@ class DiagnosticKind(str, Enum):
 VALLEY_START: float = 8.0
 PEAKS = VALLEY_START + np.array([k * (k + 1) / 2.0 for k in range(14)])
 PEAKS.flags.writeable = False
-# The last peak at or below each whole number 0..100. The peaks are whole
-# numbers, so the last peak at or below v is the one at or below
-# floor(v). Every entry below VALLEY_START wraps to the last peak and is
-# never used, as such v lie in the identity region.
-_ANCHORS = PEAKS[np.searchsorted(PEAKS, np.arange(101.0), side="right") - 1]
+# The index of the last peak at or below each whole number 0..100 (-1
+# below the first), and that peak, the sawtooth's anchor (unused below
+# VALLEY_START). The peaks are whole numbers, so the last peak at or
+# below v is the one at or below floor(v).
+LAST_PEAK = np.searchsorted(PEAKS, np.arange(101.0), side="right") - 1
+LAST_PEAK.flags.writeable = False
+_ANCHORS = PEAKS[LAST_PEAK]
 _ANCHORS.flags.writeable = False
 
 

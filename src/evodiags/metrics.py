@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Population, UPPER_BOUND
-from .diagnostics import DIAGNOSTICS, PEAKS, DiagnosticKind, activation_genes
+from .diagnostics import DIAGNOSTICS, LAST_PEAK, DiagnosticKind, activation_genes
 
 SATISFACTORY_THRESHOLD: float = 0.99 * UPPER_BOUND
 
@@ -95,10 +95,10 @@ def largest_valley_reached(genes: np.ndarray) -> int:
     """Index of the last peak attained by any gene; -1 below the first peak.
 
     Peak index k equals the number of fully crossed valleys, so a max
-    gene of 20.0 (peaks 8, 9, 11, 14, 18 attained) reports 4.
+    gene of 20.0 (peaks 8, 9, 11, 14, 18 attained) reports 4. Genes lie
+    in [0, 100], the domain of ``LAST_PEAK``.
     """
-    top = float(np.max(np.asarray(genes, dtype=np.float64)))
-    return int(np.searchsorted(PEAKS, top, side="right")) - 1
+    return int(LAST_PEAK[int(np.max(genes))])
 
 
 def best_index(pop: Population) -> int:

@@ -376,16 +376,18 @@ def lexicase_select(pop: Population, n: int, rng: np.random.Generator) -> np.nda
     lasts while its radix product stays below ``_KEY_LIMIT``, where the
     numbers are exact floats: any sum of their terms is an exact integer.
     Each pass keys one run for the picks still open, those left with
-    more than one candidate. The first pass keys every distinct row for
-    all picks at once by one matrix product. With about 50 ranks per
-    column a run covers about 9 cases, so a 100-case population can take
-    10 or more passes, but after the first no open pick keeps more than
-    about 15 of some 400 rows. So the survivors are then gathered into
-    one ascending, padded row of candidates per open pick, and each later
-    pass keys only those, from the ranks of its run's cases. The lowest
-    surviving row wins either way. When the first run covers half the
-    cases or more, as with few ranks per column, the one or two passes
-    left key every row, which costs less than the gather.
+    more than one candidate, and drops it from the front of their case
+    orders; with ``n = 0`` no pick is open and the result is empty. The
+    first pass keys every distinct row for all picks at once by one
+    matrix product. With about 50 ranks per column a run covers about 9
+    cases, so a 100-case population can take 10 or more passes, but
+    after the first no open pick keeps more than about 15 of some 400
+    rows. So the survivors are then gathered into one ascending, padded
+    row of candidates per open pick, and each later pass keys only those,
+    from the ranks of its run's cases. The lowest surviving row wins
+    either way. When the cases left after the first run are no more than
+    it, as with few ranks per column, the one or two passes left key
+    every row, which costs less than the gather.
     """
     pheno = pop.phenotypes
     dim = pheno.shape[1]
@@ -394,48 +396,46 @@ def lexicase_select(pop: Population, n: int, rng: np.random.Generator) -> np.nda
     winner_rows = np.zeros(n, dtype=np.int64)
     ranks = _trait_ranks(distinct).astype(np.float64)
     radix = ranks.max(axis=1) + 1.0
-    # The picks still open, their case orders, their candidates, and
+    # The picks still open, the cases each has left, its candidates and
     # (after the first pass) alive[i, j], which says candidate j of open
     # pick i is still alive. Candidates are every row, column j being row
     # j, until the first pass's survivors are gathered; then candidates[i]
     # holds pick i's rows, ascending, and its padding is never alive.
-    # Distinct rows cannot tie on every case, so each pick ends with
-    # exactly one row alive. A lone distinct row ranks 0 with radix 1 on
-    # every case, so one pass keys every pick to it and leaves none open.
+    # Distinct rows cannot tie on every case, so by its last case each
+    # pick has exactly one row alive and is closed. A lone distinct row
+    # ranks 0 with radix 1 on every case, so one pass keys every pick to
+    # it and leaves none open.
     picks = np.arange(n)
-    candidates = None
-    start, window = 0, dim
-    while start < dim:
-        # The first window is every case; a later one starts at twice the
-        # last run, as the runs of later passes are about as long.
-        spans = _run_spans(radix, orders[:, start:], window)
+    candidates = alive = None
+    window = dim
+    while orders.size:
+        # The first window is every case; a later one is twice the last
+        # run, as the runs of later passes are about as long.
+        spans = _run_spans(radix, orders, window)
         length = spans.shape[1]
         # A case's place value is the radix product of the run's
         # later cases; the quotient of exact integers is exact.
         place = spans[:, -1:] / spans
-        cases = orders[:, start:start + length]
-        rows = np.arange(picks.size)[:, np.newaxis]
+        cases = orders[:, :length]
         if candidates is None:
             weights = np.zeros((picks.size, dim))
-            weights[rows, cases] = place
+            weights[np.arange(picks.size)[:, np.newaxis], cases] = place
             keys = weights @ ranks
         else:
             # keys[i, j] sums place[i, k] * ranks[cases[i, k], candidates[i, j]].
             gathered = ranks[cases[:, :, np.newaxis], candidates[:, np.newaxis, :]]
             keys = np.matmul(place[:, np.newaxis, :], gathered)[:, 0]
-        if start:
+        if alive is not None:
             keys = np.where(alive, keys, -1.0)
         alive = keys == keys.max(axis=1, keepdims=True)
         first = alive.argmax(axis=1)
-        winner_rows[picks] = first if candidates is None else candidates[rows[:, 0], first]
-        start, window = start + length, 2 * length
+        winner_rows[picks] = first if candidates is None else candidates[np.arange(first.size), first]
         still_open = alive.sum(axis=1) > 1
-        if not still_open.any():
-            break
-        picks, orders, alive = picks[still_open], orders[still_open], alive[still_open]
+        picks, orders, alive = picks[still_open], orders[still_open, length:], alive[still_open]
+        window = 2 * length
         if candidates is not None:
             candidates = candidates[still_open]
-        elif dim - start > length:
+        elif picks.size and orders.shape[1] > length:
             candidates, alive = _candidate_block(alive)
     # Uniform pick among the clones sharing the winning phenotype.
     members_by_row = np.argsort(inverse, kind="stable")

@@ -7,9 +7,11 @@ Wilcoxon rank-sum tests with a Bonferroni correction.
 Rank statistics are computed here with midranks and tie corrections;
 only the chi-square survival function and the normal distribution
 function come from scipy (``scipy.special``, which imports far faster
-than ``scipy.stats``). The rank-sum p-value is exact (full
-enumeration) for small tie-free samples and a continuity-corrected
-normal approximation otherwise.
+than ``scipy.stats``). The rank-sum test finds both tails of U,
+P(U <= u) and P(U >= u): exactly (full enumeration) for small tie-free
+samples, by a continuity-corrected normal approximation otherwise.
+``less`` reads the lower tail, ``greater`` the upper, and two-sided
+doubles the smaller one, capped at 1.
 """
 
 from __future__ import annotations
@@ -77,10 +79,9 @@ def wilcoxon_rank_sum(
     """Rank-sum test via the Mann-Whitney U statistic for the first sample.
 
     ``alternative='greater'`` tests whether ``a`` tends larger than ``b``.
-    P-values come from exact enumeration when the combined sample is
+    Both tails come from exact enumeration when the combined sample is
     small (<= ``EXACT_ENUMERATION_LIMIT``) and tie-free, otherwise from
-    the normal approximation with tie-corrected variance and continuity
-    correction.
+    the tie-corrected, continuity-corrected normal approximation.
     """
     if alternative not in ("two-sided", "less", "greater"):
         raise ValueError(f"unknown alternative {alternative!r}")
@@ -93,46 +94,39 @@ def wilcoxon_rank_sum(
     ranks, tie_term = _ranks_and_ties(pooled)
     u_stat = float(ranks[:n_a].sum() - n_a * (n_a + 1) / 2.0)
     if tie_term == 0.0 and n_a + n_b <= EXACT_ENUMERATION_LIMIT:
-        p = _exact_rank_sum_p(u_stat, n_a, n_b, alternative)
+        lower, upper = _exact_rank_sum_tails(u_stat, n_a, n_b)
     else:
-        p = _normal_rank_sum_p(u_stat, n_a, n_b, tie_term, alternative)
-    return u_stat, p
+        lower, upper = _normal_rank_sum_tails(u_stat, n_a, n_b, tie_term)
+    if alternative == "two-sided":
+        return u_stat, min(1.0, 2.0 * min(lower, upper))
+    return u_stat, lower if alternative == "less" else upper
 
 
-def _exact_rank_sum_p(u_obs: float, n_a: int, n_b: int, alternative: str) -> float:
-    """Enumerate every rank assignment of sample a among n_a + n_b ranks."""
+def _exact_rank_sum_tails(u_obs: float, n_a: int, n_b: int) -> tuple[float, float]:
+    """P(U <= u_obs) and P(U >= u_obs), enumerating every rank
+    assignment of sample a among n_a + n_b ranks."""
     n = n_a + n_b
     total = comb(n, n_a)
     offset = n_a * (n_a + 1) // 2
     u_values = [sum(c) - offset for c in combinations(range(1, n + 1), n_a)]
     u_obs = round(u_obs)
-    le = sum(1 for u in u_values if u <= u_obs)
-    ge = sum(1 for u in u_values if u >= u_obs)
-    if alternative == "less":
-        return le / total
-    if alternative == "greater":
-        return ge / total
-    return min(1.0, 2.0 * min(le, ge) / total)
+    return (sum(1 for u in u_values if u <= u_obs) / total,
+            sum(1 for u in u_values if u >= u_obs) / total)
 
 
-def _normal_rank_sum_p(
-    u_obs: float, n_a: int, n_b: int, tie_term: float, alternative: str
-) -> float:
+def _normal_rank_sum_tails(
+    u_obs: float, n_a: int, n_b: int, tie_term: float
+) -> tuple[float, float]:
+    """P(U <= u_obs) and P(U >= u_obs) by the normal approximation, each
+    with its continuity correction."""
     n = n_a + n_b
     mean_u = n_a * n_b / 2.0
     var_u = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if var_u <= 0.0:
-        return 1.0  # all observations tied
+        return 1.0, 1.0  # all observations tied
     sd = np.sqrt(var_u)
-    if alternative == "greater":
-        z = (u_obs - mean_u - 0.5) / sd
-        return float(ndtr(-z))
-    if alternative == "less":
-        z = (u_obs - mean_u + 0.5) / sd
-        return float(ndtr(z))
-    z = (abs(u_obs - mean_u) - 0.5) / sd
-    z = max(z, 0.0)
-    return float(min(1.0, 2.0 * ndtr(-z)))
+    return (float(ndtr((u_obs - mean_u + 0.5) / sd)),
+            float(ndtr((mean_u - u_obs + 0.5) / sd)))
 
 
 def bonferroni(p_values: Sequence[float]) -> list[float]:

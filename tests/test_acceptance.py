@@ -19,9 +19,9 @@ Two grids run longer:
   5000-generation valley grid reads them from there instead of running
   them twice.
 
-On a shared 2-core machine three full runs of the whole test suite took
-177 s each. Setting up criterion 4's two valley grids took 98 s of one
-of them, most of it the 50,000-generation lexicase replicates.
+On a shared 2-core machine a full run of the whole test suite took
+177 s. Setting up criterion 4's two valley grids takes about 98 s of it,
+most of it the 50,000-generation lexicase replicates.
 
 Sharing-distance reading per grid (the distance normalization flag
 exists because both readings of sigma are defensible):

@@ -16,6 +16,8 @@ from evodiags import (
 )
 from evodiags.metrics import NO_VALLEY, best_index
 
+from oracles import SAWTOOTH_PEAKS
+
 
 def pop_from_phenotypes(pheno, kind=DiagnosticKind.EXPLOITATION_RATE):
     # Exploitation rate copies genes to traits, so the phenotype doubles
@@ -90,6 +92,14 @@ def test_largest_valley_reached_values():
     assert largest_valley_reached(np.array([99.0, 1.0])) == 13
     assert largest_valley_reached(np.array([20.0, 3.0])) == 4
     assert largest_valley_reached(np.array([8.0])) == 0
+    # The table read against the search over the peaks, on every peak,
+    # each peak's neighbouring floats and the ends of the gene range.
+    peaks = np.array(SAWTOOTH_PEAKS)
+    tops = np.concatenate([peaks, np.nextafter(peaks, 0.0), np.nextafter(peaks, 101.0),
+                           [0.0, 100.0]])
+    for top in tops:
+        expected = int(np.searchsorted(peaks, top, side="right")) - 1
+        assert largest_valley_reached(np.array([top, 0.0])) == expected
 
 
 def test_largest_valley_monotone_in_max_gene():

@@ -1016,10 +1016,11 @@ def test_every_scheme_returns_n_indices_in_range(scheme):
     rng = np.random.default_rng(34)
     pheno = rng.uniform(0, 100, size=(12, 5))
     pop = make_pop(pheno)
-    state = fresh_scheme_state(SchemeParams(scheme=scheme, tr=4, ts=3))
-    idx = select(pop, state, 12, np.random.default_rng(35))
-    assert idx.shape == (12,)
-    assert idx.min() >= 0 and idx.max() < 12
+    for n in (12, 0):
+        state = fresh_scheme_state(SchemeParams(scheme=scheme, tr=4, ts=3))
+        idx = select(pop, state, n, np.random.default_rng(35))
+        assert idx.shape == (n,)
+        assert ((idx >= 0) & (idx < 12)).all()
 
 
 def test_scheme_params_validation():

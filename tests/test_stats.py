@@ -1,6 +1,10 @@
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import ndtr
 
 from evodiags import bonferroni, kruskal_wallis, wilcoxon_rank_sum
 from evodiags import stats
@@ -128,11 +132,71 @@ def test_rank_sum_exact_and_normal_paths_agree_for_medium_samples(monkeypatch):
 def test_rank_sum_normal_approx_matches_scipy_with_ties():
     a = [1.0, 2.0, 2.0, 3.0, 5.0, 5.0, 7.0]
     b = [2.0, 3.0, 3.0, 4.0, 5.0, 8.0, 9.0, 9.0]
-    u, p = wilcoxon_rank_sum(a, b)
-    ref = scipy.stats.mannwhitneyu(a, b, alternative="two-sided",
-                                   method="asymptotic", use_continuity=True)
-    assert u == pytest.approx(ref.statistic)
-    assert p == pytest.approx(ref.pvalue, rel=1e-9)
+    for first, second in ((a, b), (b, a)):
+        for alt in ("two-sided", "greater", "less"):
+            u, p = wilcoxon_rank_sum(first, second, alternative=alt)
+            ref = scipy.stats.mannwhitneyu(first, second, alternative=alt,
+                                           method="asymptotic", use_continuity=True)
+            assert u == pytest.approx(ref.statistic)
+            assert p == pytest.approx(ref.pvalue, rel=1e-9)
+
+
+def _three_way_exact_p(u_obs, n_a, n_b, alternative):
+    # Each alternative counted on its own, by enumeration.
+    n = n_a + n_b
+    total = comb(n, n_a)
+    offset = n_a * (n_a + 1) // 2
+    u_values = [sum(c) - offset for c in combinations(range(1, n + 1), n_a)]
+    u_obs = round(u_obs)
+    le = sum(1 for u in u_values if u <= u_obs)
+    ge = sum(1 for u in u_values if u >= u_obs)
+    if alternative == "less":
+        return le / total
+    if alternative == "greater":
+        return ge / total
+    return min(1.0, 2.0 * min(le, ge) / total)
+
+
+def _three_way_normal_p(u_obs, n_a, n_b, tie_term, alternative):
+    # Each alternative with its own z; two-sided folds |U - mean|.
+    n = n_a + n_b
+    mean_u = n_a * n_b / 2.0
+    var_u = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
+    if var_u <= 0.0:
+        return 1.0
+    sd = np.sqrt(var_u)
+    if alternative == "greater":
+        z = (u_obs - mean_u - 0.5) / sd
+        return float(ndtr(-z))
+    if alternative == "less":
+        z = (u_obs - mean_u + 0.5) / sd
+        return float(ndtr(z))
+    z = (abs(u_obs - mean_u) - 0.5) / sd
+    z = max(z, 0.0)
+    return float(min(1.0, 2.0 * ndtr(-z)))
+
+
+def test_rank_sum_tails_match_the_three_way_formulas_bit_for_bit():
+    # Tied and untied samples, combined sizes on both sides of the
+    # enumeration limit, every alternative.
+    rng = np.random.default_rng(17)
+    got, expected = [], []
+    for trial in range(400):
+        n_a, n_b = (int(k) for k in rng.integers(1, 11, size=2))
+        if trial % 2:
+            a, b = rng.integers(0, 5, n_a) * 1.0, rng.integers(0, 5, n_b) * 1.0
+        else:
+            a, b = rng.normal(0.0, 1.0, n_a), rng.normal(rng.uniform(-1, 1), 1.0, n_b)
+        tie_term = stats._ranks_and_ties(np.concatenate([a, b]))[1]
+        for alt in ("two-sided", "less", "greater"):
+            u, p = wilcoxon_rank_sum(a, b, alternative=alt)
+            got.append(p)
+            if tie_term == 0.0 and n_a + n_b <= stats.EXACT_ENUMERATION_LIMIT:
+                expected.append(_three_way_exact_p(u, n_a, n_b, alt))
+            else:
+                expected.append(_three_way_normal_p(u, n_a, n_b, tie_term, alt))
+    got, expected = np.array(got), np.array(expected)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_rank_sum_directional_alternatives_are_coherent():
