@@ -133,8 +133,13 @@ def replicate_seed(base_seed: int, diagnostic: str, scheme: str, rep: int) -> in
 
     The mix is a splitmix64 absorption of the treatment label bytes, so
     seeds are stable across runs and platforms and pairwise distinct for
-    practical grid sizes.
+    practical grid sizes. A ``DiagnosticKind`` or ``SchemeKind`` member
+    is labelled by its value, so it gets the seed of its name.
     """
+    # An f-string spells a (str, Enum) member "DiagnosticKind.X" on
+    # Python 3.11; a plain string has no value attribute.
+    diagnostic = getattr(diagnostic, "value", diagnostic)
+    scheme = getattr(scheme, "value", scheme)
     h = 0
     for byte in f"{diagnostic}|{scheme}|{rep}".encode("utf-8"):
         h = splitmix64(h ^ byte)

@@ -186,6 +186,15 @@ def test_replicate_seed_stable_value():
     assert replicate_seed(5, "a", "b", 1) != replicate_seed(6, "a", "b", 1)
 
 
+def test_replicate_seed_labels_a_member_by_its_name():
+    for diagnostic in DiagnosticKind:
+        for scheme in SchemeKind:
+            assert replicate_seed(1, diagnostic, scheme, 3) == \
+                replicate_seed(1, diagnostic.value, scheme.value, 3)
+    assert replicate_seed(1, DiagnosticKind.VALLEY_CROSSING, SchemeKind.LEXICASE, 0) == \
+        16377587951458259242
+
+
 def small_grid_config(tmp_path, **overrides) -> ExperimentConfig:
     values = dict(
         diagnostics=["exploitation-rate", "contradictory-objectives"],
