@@ -16,9 +16,12 @@ omnibus is significant it runs all pairwise rank-sum tests with a
 Bonferroni correction and writes a comparisons CSV.
 
 Configuration files are flat ``key = value`` lines with ``#`` comments;
-command-line flags override file values. A replicate-level key's default
-is the one its library dataclass declares (``ReplicateConfig``,
-``SchemeParams`` or ``MutationParams``).
+command-line flags override file values. The keys are ``ExperimentConfig``'s
+fields. Each field of ``ReplicateConfig``, ``SchemeParams`` and
+``MutationParams`` that a replicate is not given reads the key of its name
+(``record_stride`` reads ``stride``) and defaults to the field's default.
+A run flag is its key with ``-`` for ``_``, of the key's type; ``--seed``
+sets ``base_seed``, and ``--diagnostic``/``--scheme`` append to their lists.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import json
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
@@ -76,13 +79,19 @@ class ExperimentConfig:
     include_archive: bool = ReplicateConfig.include_archive
 
     def __post_init__(self) -> None:
-        self.diagnostics = [_canonical(d, all_diagnostic_names(), "diagnostic")
-                            for d in self.diagnostics]
-        self.schemes = [_canonical(s, all_scheme_names(), "scheme")
-                        for s in self.schemes]
-        for key in ("diagnostics", "schemes"):
-            if not getattr(self, key):
+        for key, valid in (("diagnostics", all_diagnostic_names()),
+                           ("schemes", all_scheme_names())):
+            names = list(getattr(self, key))
+            setattr(self, key, names)
+            if not names:
                 raise ConfigurationError(f"{key} must name at least one, got none")
+            for name in names:
+                if name not in valid:
+                    raise ConfigurationError(f"unknown {key[:-1]} {name!r}; "
+                                             f"valid choices: {', '.join(valid)}")
+                # A repeat would run the same replicates into the same files.
+                if names.count(name) > 1:
+                    raise ConfigurationError(f"{key} names {name!r} more than once")
         if self.replicates < 1:
             raise ConfigurationError(
                 f"replicates must be >= 1, got {self.replicates}")
@@ -90,37 +99,17 @@ class ExperimentConfig:
             raise ConfigurationError(f"workers must be >= 0, got {self.workers}")
 
     def replicate_config(self, diagnostic: str, scheme: str, rep: int) -> ReplicateConfig:
-        return ReplicateConfig(
-            diagnostic=diagnostic,
-            scheme=SchemeParams(
-                scheme=scheme,
-                tr=self.tr,
-                ts=self.ts,
-                sigma=self.sigma,
-                alpha=self.alpha,
-                normalize_sharing=self.normalize_sharing,
-                novelty_k=self.novelty_k,
-                pmin=self.pmin,
-            ),
-            pop_size=self.pop_size,
-            generations=self.generations,
-            dim=self.dim,
-            mutation=MutationParams(
-                mutation_rate=self.mutation_rate,
-                mutation_stddev=self.mutation_stddev),
-            init_lo=self.init_lo,
-            init_hi=self.init_hi,
-            seed=replicate_seed(self.base_seed, diagnostic, scheme, rep),
-            record_stride=self.stride,
-            include_archive=self.include_archive,
-        )
+        return self._build(
+            ReplicateConfig, diagnostic=diagnostic,
+            scheme=self._build(SchemeParams, scheme=scheme),
+            mutation=self._build(MutationParams),
+            seed=replicate_seed(self.base_seed, diagnostic, scheme, rep))
 
-
-def _canonical(name: str, valid: list[str], what: str) -> str:
-    if name not in valid:
-        raise ConfigurationError(
-            f"unknown {what} {name!r}; valid choices: {', '.join(valid)}")
-    return name
+    def _build(self, cls, **given):
+        """Build ``cls``, reading each field not ``given`` from the key of its
+        name, or of its ``_FIELD_KEYS`` name; a field with no key raises."""
+        return cls(**given, **{f.name: getattr(self, _FIELD_KEYS.get(f.name, f.name))
+                               for f in fields(cls) if f.name not in given})
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +141,8 @@ def replicate_seed(base_seed: int, diagnostic: str, scheme: str, rep: int) -> in
 
 # Config file keys and their types: the ExperimentConfig field annotations.
 _CONFIG_TYPES = get_type_hints(ExperimentConfig)
+# The one library field whose key has another name.
+_FIELD_KEYS = {"record_stride": "stride"}
 
 
 def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -297,7 +288,7 @@ def run_experiment(config: ExperimentConfig) -> int:
 def _write_manifest(out_dir: Path, config: ExperimentConfig,
                     entries: list[dict], note: Optional[str] = None) -> None:
     manifest = {
-        "config": {k: getattr(config, k) for k in vars(config)},
+        "config": vars(config),
         "seed_rule": ("base_seed + h mod 2**64, where h starts at 0 and absorbs "
                       "each UTF-8 byte of '<diagnostic>|<scheme>|<rep>' as "
                       "h = splitmix64(h ^ byte)"),
@@ -305,9 +296,11 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig,
     }
     if note:
         manifest["note"] = note
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
+    part = out_dir / "manifest.json.part"
+    with open(part, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    os.replace(part, out_dir / "manifest.json")
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +447,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="NAME", help="diagnostic to run (repeatable)")
     run_p.add_argument("--scheme", action="append", dest="schemes",
                        metavar="NAME", help="selection scheme to run (repeatable)")
-    run_p.add_argument("--replicates", type=int)
+    for key in ("replicates", "pop_size", "generations", "dim", "stride",
+                "output_dir", "workers"):
+        run_p.add_argument("--" + key.replace("_", "-"), type=_CONFIG_TYPES[key])
     run_p.add_argument("--seed", type=int, dest="base_seed")
-    run_p.add_argument("--pop-size", type=int, dest="pop_size")
-    run_p.add_argument("--generations", type=int)
-    run_p.add_argument("--dim", type=int)
-    run_p.add_argument("--stride", type=int)
-    run_p.add_argument("--output-dir", dest="output_dir")
-    run_p.add_argument("--workers", type=int)
     run_p.add_argument("--include-archive", action="store_const", const=True,
                        dest="include_archive",
                        help="count the novelty archive in performance metrics")

@@ -22,6 +22,7 @@ the search has found.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Callable, Optional, Sequence
@@ -152,13 +153,16 @@ def snapshot(
 
 
 def write_records_csv(path, records: Sequence[GenerationRecord]) -> None:
-    """Write records deterministically: same records give identical bytes."""
-    with open(path, "w", newline="") as handle:
+    """Write records deterministically: same records give identical bytes.
+    The rows go to ``<path>.part``, renamed onto ``path`` once whole."""
+    part = f"{path}.part"
+    with open(part, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for rec in records:
             writer.writerow([write(value)
                              for write, value in zip(_FORMATTERS, _record_values(rec))])
+    os.replace(part, path)
 
 
 def read_records_csv(path) -> list[GenerationRecord]:

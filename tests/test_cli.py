@@ -1,3 +1,4 @@
+import argparse
 import ctypes
 import json
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -455,6 +457,47 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_each_replicate_key_has_its_library_field_type():
+    # Each library field reads the key of its name, or of its _FIELD_KEYS name.
+    routed = {}
+    for owner in (ReplicateConfig, SchemeParams, MutationParams):
+        hints = get_type_hints(owner)
+        for f in fields(owner):
+            key = cli._FIELD_KEYS.get(f.name, f.name)
+            if key in cli._CONFIG_TYPES:
+                routed[key] = hints[f.name]
+    grid_level = {"diagnostics", "schemes", "replicates", "base_seed", "output_dir",
+                  "workers"}
+    assert routed.keys() == cli._CONFIG_TYPES.keys() - grid_level
+    for key, kind in routed.items():
+        assert cli._CONFIG_TYPES[key] == kind, key
+
+
+def test_every_run_flag_stores_to_a_config_key_of_its_type(capsys):
+    parser = cli._build_parser()
+    run_p = next(action for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)).choices["run"]
+    flags = {}
+    for action in run_p._actions:
+        flags.update(dict.fromkeys(action.option_strings, action.dest))
+        if action.dest in ("help", "config"):
+            continue
+        assert action.dest in cli._CONFIG_TYPES, action.option_strings
+        if action.type is not None:
+            assert action.type is cli._CONFIG_TYPES[action.dest], action.option_strings
+    assert flags == {
+        "-h": "help", "--help": "help", "--config": "config",
+        "--diagnostic": "diagnostics", "--scheme": "schemes",
+        "--replicates": "replicates", "--seed": "base_seed", "--pop-size": "pop_size",
+        "--generations": "generations", "--dim": "dim", "--stride": "stride",
+        "--output-dir": "output_dir", "--workers": "workers",
+        "--include-archive": "include_archive"}
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--pop-size", "x"])
+    assert exit_info.value.code == 2
+    assert "--pop-size: invalid int value: 'x'" in capsys.readouterr().err
+
+
 def test_default_replicate_config_is_the_library_default():
     for diagnostic in all_diagnostic_names():
         for scheme in all_scheme_names():
@@ -500,7 +543,11 @@ def test_main_rejects_an_empty_list_before_creating_the_output_dir(tmp_path, cap
     ("init_lo = nan\n", "requires init_lo < init_hi, got init_lo = nan, init_hi = 1.0"),
     ("init_hi = 0.0\n", "requires init_lo < init_hi, got init_lo = 0.0, init_hi = 0.0"),
     ("init_hi = 101\n", "init_lo = 0.0, init_hi = 101.0 must lie within [0.0, 100.0]"),
-], ids=["stride", "dim", "init-lo-nan", "init-hi-low", "init-hi-out-of-range"])
+    ("schemes = random, tournament, random\n", "schemes names 'random' more than once"),
+    ("diagnostics = valley-crossing, valley-crossing\n",
+     "diagnostics names 'valley-crossing' more than once"),
+], ids=["stride", "dim", "init-lo-nan", "init-hi-low", "init-hi-out-of-range",
+        "scheme-twice", "diagnostic-twice"])
 def test_main_names_the_config_key_before_creating_the_output_dir(
         tmp_path, capsys, settings, message):
     path = tmp_path / "run.cfg"

@@ -211,3 +211,16 @@ def test_records_csv_round_trip():
         with open(path) as fh:
             body = fh.read()
         assert "none" in body  # below-first-peak marker
+
+
+def test_records_csv_cut_short_leaves_no_file(tmp_path):
+    def records():
+        yield GenerationRecord(0, 1.5, 15.0, None, None, None, None)
+        yield GenerationRecord(10, 43.29, 432.9, 3, 5, NO_VALLEY, 12)
+        raise RuntimeError("cut short")
+    path = tmp_path / "records.csv"
+    with pytest.raises(RuntimeError, match="cut short"):
+        write_records_csv(path, records())
+    assert not path.exists()
+    # What is left is not a CSV that analyze would list as unreadable.
+    assert not list(tmp_path.glob("*.csv"))
