@@ -40,7 +40,7 @@ from typing import Optional, Sequence, get_type_hints
 from .core import MASK64, ConfigurationError, MutationParams, splitmix64
 from .diagnostics import DIAGNOSTICS, DiagnosticKind, all_diagnostic_names
 from .evolve import ReplicateConfig, run_replicate
-from .metrics import CSV_HEADER, read_records_csv, write_records_csv
+from .metrics import CSV_HEADER, read_records_csv, write_records_csv, written_whole
 from .selection import SCHEMES, SchemeKind, SchemeParams, all_scheme_names
 from .stats import SIGNIFICANCE_LEVEL, bonferroni, kruskal_wallis, wilcoxon_rank_sum
 
@@ -296,11 +296,9 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig,
     }
     if note:
         manifest["note"] = note
-    part = out_dir / "manifest.json.part"
-    with open(part, "w", encoding="utf-8") as handle:
+    with written_whole(out_dir / "manifest.json", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    os.replace(part, out_dir / "manifest.json")
 
 
 # ---------------------------------------------------------------------------

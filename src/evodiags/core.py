@@ -144,8 +144,8 @@ def mutate_batch(
     params: MutationParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Mutate a writeable (N, D) float64 block of genotypes in place and
-    return it.
+    """Mutate a writeable (N, D) float64 block of genotypes in place, in
+    any memory layout, and return it.
 
     Each gene independently mutates with probability
     ``params.mutation_rate``; the other genes stay as they are. Draws the
@@ -153,11 +153,12 @@ def mutate_batch(
     so the consumed stream is a pure function of the generator state and
     the block shape. Pass a copy to keep the original block.
     """
-    mask = rng.random(genotypes.shape) < params.mutation_rate
-    n_hits = int(mask.sum())
-    if n_hits:
-        steps = rng.normal(0.0, params.mutation_stddev, size=n_hits)
-        genotypes[mask] = rebound(genotypes[mask] + steps)
+    hits = np.flatnonzero(rng.random(genotypes.shape) < params.mutation_rate)
+    if hits.size:
+        steps = rng.normal(0.0, params.mutation_stddev, size=hits.size)
+        # take and put read flat positions in row-major order whatever the
+        # block's layout, and put writes the block itself, not a copy.
+        genotypes.put(hits, rebound(genotypes.take(hits) + steps))
     return genotypes
 
 

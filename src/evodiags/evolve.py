@@ -104,7 +104,8 @@ def run_replicate(config: ReplicateConfig) -> ReplicateResult:
     generation-0 record reflects the random initialization. Records cover
     every ``record_stride``-th generation plus the final one; the
     satisfactory-solution scan runs every generation regardless of
-    stride.
+    stride. Every ``BOUNDS_CHECK_STRIDE`` generations a gene outside the
+    gene range raises RuntimeError.
 
     The first replicate in a process sets glibc's malloc to keep freed
     blocks for the rest of the process, so resident memory stays near
@@ -137,8 +138,12 @@ def run_replicate(config: ReplicateConfig) -> ReplicateResult:
         if gen % config.record_stride == 0 or gen == config.generations:
             records.append(take_snapshot(gen))
         if gen % BOUNDS_CHECK_STRIDE == 0:
-            assert pop.genotypes.min() >= config.mutation.lo
-            assert pop.genotypes.max() <= config.mutation.hi
+            lo, hi = pop.genotypes.min(), pop.genotypes.max()
+            # A raise, not an assert, so that python -O keeps it; NaN fails it.
+            if not (lo >= config.mutation.lo and hi <= config.mutation.hi):
+                raise RuntimeError(
+                    f"generation {gen}: genes span [{lo}, {hi}], outside the gene "
+                    f"range [{config.mutation.lo}, {config.mutation.hi}]")
 
     best = best_index(pop)
     return ReplicateResult(

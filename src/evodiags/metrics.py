@@ -21,6 +21,7 @@ the search has found.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 from dataclasses import dataclass, field, fields
@@ -152,17 +153,32 @@ def snapshot(
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def written_whole(path, **open_args):
+    """Open ``<path>.part`` for writing and rename it onto ``path`` once the
+    block ends. If the block or the write raises, the ``.part`` file is
+    removed and the error raised again, so no partial file is left."""
+    part = f"{path}.part"
+    try:
+        with open(part, "w", **open_args) as handle:
+            yield handle
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
+
+
 def write_records_csv(path, records: Sequence[GenerationRecord]) -> None:
     """Write records deterministically: same records give identical bytes.
-    The rows go to ``<path>.part``, renamed onto ``path`` once whole."""
-    part = f"{path}.part"
-    with open(part, "w", newline="") as handle:
+    The rows go through :func:`written_whole`, so ``path`` appears only
+    once whole."""
+    with written_whole(path, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for rec in records:
             writer.writerow([write(value)
                              for write, value in zip(_FORMATTERS, _record_values(rec))])
-    os.replace(part, path)
 
 
 def read_records_csv(path) -> list[GenerationRecord]:

@@ -207,6 +207,16 @@ def small_grid_config(tmp_path, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+def test_manifest_failed_write_removes_its_part_file(tmp_path):
+    cfg = small_grid_config(tmp_path)
+    out = Path(cfg.output_dir)
+    out.mkdir()
+    # json.dump raises on the entry it cannot serialize, mid-write.
+    with pytest.raises(TypeError):
+        cli._write_manifest(out, cfg, [{"file": "a.csv"}, {"seed": object()}])
+    assert list(out.iterdir()) == []
+
+
 def test_run_experiment_writes_grid_and_manifest(tmp_path):
     cfg = small_grid_config(tmp_path)
     assert run_experiment(cfg) == 0

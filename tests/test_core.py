@@ -124,3 +124,24 @@ def test_mutate_batch_deterministic_under_fixed_seed():
     a = mutate_batch(g.copy(), MutationParams(), np.random.default_rng(11))
     b = mutate_batch(g.copy(), MutationParams(), np.random.default_rng(11))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_mutate_batch_mutates_any_writeable_layout_in_place(layout):
+    # A flat view taken by reshape(-1) of such a block is a copy, so a
+    # kernel that wrote through one would leave the block unchanged.
+    g = np.random.default_rng(12).uniform(0, 100, size=(16, 30))
+    if layout == "fortran":
+        block = np.asfortranarray(g)
+    else:
+        block = np.zeros((32, 60))[::2, ::2]
+        block[:] = g
+    assert not block.flags.c_contiguous and block.flags.writeable
+    params = MutationParams(mutation_rate=0.2, mutation_stddev=5.0)
+    rng, rng_c = np.random.default_rng(13), np.random.default_rng(13)
+    expected = mutate_batch(g.copy(), params, rng_c)
+    out = mutate_batch(block, params, rng)
+    assert out is block
+    assert np.array_equal(block, expected)
+    assert not np.array_equal(block, g)
+    assert rng.bit_generator.state == rng_c.bit_generator.state

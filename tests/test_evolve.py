@@ -98,8 +98,20 @@ def test_novelty_state_does_not_leak_between_replicates():
 def test_population_bounds_hold_throughout():
     cfg = config(scheme=SchemeKind.TOURNAMENT, generations=1500, pop_size=8,
                  dim=3, mutation=MutationParams(mutation_rate=0.5, mutation_stddev=30.0))
-    result = run_replicate(cfg)  # internal spot asserts cover bounds
+    result = run_replicate(cfg)  # the periodic bounds check raises on a stray gene
     assert result.records[-1].best_performance <= 100.0
+
+
+@pytest.mark.parametrize("stray", [100.5, -0.5, np.nan])
+def test_bounds_check_raises_on_a_gene_outside_the_range(monkeypatch, stray):
+    # A raise, unlike an assert, survives python -O.
+    def mutate_out_of_range(genotypes, params, rng):
+        genotypes[0, 0] = stray
+        return genotypes
+    monkeypatch.setattr(evolve, "mutate_batch", mutate_out_of_range)
+    monkeypatch.setattr(evolve, "BOUNDS_CHECK_STRIDE", 5)
+    with pytest.raises(RuntimeError, match="generation 5: genes span"):
+        run_replicate(config(generations=12))
 
 
 def test_running_best_fitness_non_decreasing_under_strong_truncation():

@@ -224,3 +224,18 @@ def test_records_csv_cut_short_leaves_no_file(tmp_path):
     assert not path.exists()
     # What is left is not a CSV that analyze would list as unreadable.
     assert not list(tmp_path.glob("*.csv"))
+
+
+def _cut_short():
+    yield GenerationRecord(0, 1.5, 15.0, None, None, None, None)
+    raise RuntimeError("cut short")
+
+
+@pytest.mark.parametrize("path_is_dir", [False, True], ids=["records-raise", "rename-fails"])
+def test_records_csv_failed_write_removes_its_part_file(tmp_path, path_is_dir):
+    path = tmp_path / "records.csv"
+    if path_is_dir:
+        path.mkdir()  # the rename onto a directory fails
+    with pytest.raises(IsADirectoryError if path_is_dir else RuntimeError):
+        write_records_csv(path, [] if path_is_dir else _cut_short())
+    assert not (tmp_path / "records.csv.part").exists()

@@ -511,6 +511,21 @@ def test_lexicase_matches_numpy_oracle_at_headline_scale():
         pop = evaluate_population(offspring, diagnostic)
 
 
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
+def test_trait_ranks_equal_the_per_column_unique_inverse(n):
+    rng = np.random.default_rng(n)
+    # Few distinct values per column make ties; -0.0 and 0.0 are one value.
+    values = rng.choice([-0.0, 0.0, 1.5, -2.0, 7.25, 100.0], size=(n, 4))
+    values[:, 0] = np.where(np.arange(n) % 2, 0.0, -0.0)
+    values[:, 3] = rng.permutation(n) - n // 2.0  # no ties, up to n ranks
+    ranks = selection._trait_ranks(values)
+    assert ranks.dtype == (np.uint8 if n < 256 else np.uint16)
+    assert ranks.shape == (4, n) and ranks.flags.c_contiguous
+    for c in range(4):
+        _, expected = np.unique(values[:, c], return_inverse=True)
+        assert np.array_equal(ranks[c], expected)
+
+
 def test_run_spans_match_the_products_over_every_case():
     # From whatever window it starts, the run and its radix products are
     # those the cumulative product over every remaining case gives.
