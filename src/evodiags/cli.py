@@ -27,7 +27,6 @@ sets ``base_seed``, and ``--diagnostic``/``--scheme`` append to their lists.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import multiprocessing
 import os
@@ -41,6 +40,7 @@ from .core import MASK64, ConfigurationError, MutationParams, splitmix64
 from .diagnostics import DIAGNOSTICS, DiagnosticKind, all_diagnostic_names
 from .evolve import ReplicateConfig, run_replicate
 from .metrics import CSV_HEADER, read_records_csv, write_records_csv, written_whole
+from .native import kernels, pin_blas_threads
 from .selection import SCHEMES, SchemeKind, SchemeParams, all_scheme_names
 from .stats import SIGNIFICANCE_LEVEL, bonferroni, kruskal_wallis, wilcoxon_rank_sum
 
@@ -218,33 +218,6 @@ def _run_one(task) -> dict:
     }
 
 
-# The file name of numpy's bundled OpenBLAS.
-_BLAS_LIBRARY = "libscipy_openblas64_"
-
-
-def _pin_blas_threads() -> None:
-    """Run numpy's bundled OpenBLAS, found among the process's mapped
-    files, on one thread in this process.
-
-    A grid runs a pool worker per core, and OpenBLAS may run a thread per
-    core in each worker for lexicase's key product, the package's one
-    float matrix product: two workers then ran lexicase several times
-    slower than one. A pool whose initializer raises restarts its workers
-    without end, so a library or call that is not there is let be.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = {line.split(maxsplit=5)[5].strip()
-                     for line in maps if _BLAS_LIBRARY in line}
-        for path in sorted(paths):
-            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            set_threads(1)
-    # No maps file or library, no such call, or a path that is not UTF-8.
-    except (OSError, AttributeError, ValueError):
-        pass
-
-
 def run_experiment(config: ExperimentConfig) -> int:
     """Execute the grid and write per-replicate CSVs plus manifest.json."""
     out_dir = Path(config.output_dir)
@@ -266,9 +239,10 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     workers = config.workers or os.cpu_count() or 1
     workers = min(workers, len(tasks))
+    kernels()  # built and loaded here, so a forked worker inherits them
     try:
         if workers > 1:
-            with multiprocessing.Pool(workers, initializer=_pin_blas_threads) as pool:
+            with multiprocessing.Pool(workers, initializer=pin_blas_threads) as pool:
                 # One replicate per dispatch: replicate costs differ by
                 # orders of magnitude across schemes, and batches of them
                 # leave workers idle at the end of a grid.

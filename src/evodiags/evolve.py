@@ -10,8 +10,6 @@ reruns with the same configuration are bit-identical.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,13 +19,10 @@ from .core import (
     ConfigurationError, MutationParams, _check_init_range, mutate_batch, random_genotypes)
 from .diagnostics import DiagnosticKind, evaluate_population
 from .metrics import GenerationRecord, best_index, has_satisfactory_solution, snapshot
+from .native import keep_freed_memory
 from .selection import SchemeKind, SchemeParams, fresh_scheme_state, select
 
 BOUNDS_CHECK_STRIDE = 1000
-
-# glibc's mallopt parameters (malloc.h).
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
 
 
 @dataclass
@@ -73,30 +68,6 @@ class ReplicateResult:
     best_phenotype: np.ndarray
 
 
-@functools.cache
-def _keep_freed_memory() -> None:
-    """Have glibc's malloc keep freed blocks in this process's heap.
-
-    By default glibc serves numpy's large temporaries (pair distances,
-    novelty's blocks, genotype blocks: 0.4-2.2 MB at 512 x 100) from
-    fresh mmaps and returns a freed heap top to the kernel, so each
-    generation faults in new zero pages: about 1,400 for novelty. With
-    the mmap threshold at glibc's 64-bit ceiling and the trim threshold
-    above a generation's temporaries, the next generation reuses what
-    the last one freed. The trim threshold is set only where the first
-    call was understood. Without glibc's mallopt this does nothing; it
-    never raises.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        if mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1:
-            mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-    # No C library to open, no mallopt in it, or no way to open it by None.
-    except (OSError, AttributeError, TypeError):
-        pass
-
-
 def run_replicate(config: ReplicateConfig) -> ReplicateResult:
     """Run one full replicate from its seed.
 
@@ -112,7 +83,7 @@ def run_replicate(config: ReplicateConfig) -> ReplicateResult:
     its peak instead of shrinking between generations. Without glibc
     the setting does nothing.
     """
-    _keep_freed_memory()
+    keep_freed_memory()
     rng = np.random.default_rng(config.seed)
     state = fresh_scheme_state(config.scheme)
     archive = state.novelty.archive if state.novelty else None

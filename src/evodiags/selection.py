@@ -15,8 +15,11 @@ Sharing distances are normalized by the search space diameter
 (``upper_bound * sqrt(D)``), so that ``sigma`` reads as a fraction of
 it, unless a flag asks for raw ones; novelty's are always raw, as its
 threshold ``pmin`` is. Every distance block equals the ``cdist`` form
-bit for bit, but computes each pair once (``pdist``) over the distinct
-rows, grouped for every scheme by one hashed rule (:func:`_distinct_rows`).
+bit for bit, but computes each pair once over the distinct rows, grouped
+for every scheme by one hashed rule (:func:`_distinct_rows`): a pair's
+squared differences are added in dimension order from 0, then its square
+root taken, by compiled kernels or scipy's ``pdist`` and ``cdist``
+(:mod:`evodiags.native`).
 Sharing and nsga take niche counts by :func:`_clone_counts`, novelty
 gathers distances back per member, and nsga's :func:`_fronts` tests its
 later objectives only on the pairs still in the dominance block.
@@ -31,9 +34,10 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import squareform
 
 from .core import MASK64, SPLITMIX_GAMMA, UPPER_BOUND, ConfigurationError, Population, splitmix64
+from .native import cross_distances, pair_distances
 
 
 class SchemeKind(str, Enum):
@@ -197,11 +201,12 @@ def _pair_block(
 ) -> np.ndarray:
     """``f(cdist(rows, rows))`` bit for bit, for an element-wise ``f``.
 
-    ``pdist`` gives each pair's distance once, with ``cdist``'s
-    arithmetic, so ``f`` runs on N(N-1)/2 values; the diagonal, where
-    ``cdist`` gives 0, is ``f(0)``.
+    Each pair's distance is computed once, by ``cdist``'s rule: its
+    squared differences added in dimension order from 0, then the square
+    root. So ``f`` runs on N(N-1)/2 values; the diagonal, where ``cdist``
+    gives 0, is ``f(0)``.
     """
-    block = squareform(f(pdist(rows)))
+    block = squareform(f(pair_distances(rows)))
     np.fill_diagonal(block, f(np.zeros(1)))
     return block
 
@@ -546,7 +551,7 @@ def novelty_scores(
     # The block equals cdist(distinct, vstack([distinct, archive])) bit for bit.
     dists = _pair_block(distinct, np.asarray)
     if len(archive):
-        dists = np.hstack([dists, cdist(distinct, np.asarray(archive, dtype=np.float64))])
+        dists = np.hstack([dists, cross_distances(distinct, np.asarray(archive, dtype=np.float64))])
     columns = np.concatenate([inverse, np.arange(len(distinct), dists.shape[1])])
     dists = dists.take(columns, axis=1)[inverse]
     available = dists.shape[1] - 1

@@ -21,7 +21,7 @@ from evodiags import (
     fresh_scheme_state,
     read_records_csv,
 )
-from evodiags import cli
+from evodiags import cli, native
 from evodiags.cli import (
     ExperimentConfig,
     all_diagnostic_names,
@@ -289,10 +289,10 @@ def test_pool_workers_run_blas_on_one_thread(tmp_path, monkeypatch):
                          ids=["not-mapped", "no-such-call"])
 def test_blas_pin_returns_quietly_without_the_library(monkeypatch, library):
     # scipy's own OpenBLAS is mapped, but has no call of numpy's name.
-    monkeypatch.setattr(cli, "_BLAS_LIBRARY", library)
+    monkeypatch.setattr(native, "_BLAS_LIBRARY", library)
     blas = numpy_blas()
     before = blas and blas.scipy_openblas_get_num_threads64_()
-    cli._pin_blas_threads()
+    native.pin_blas_threads()
     assert (blas and blas.scipy_openblas_get_num_threads64_()) == before
 
 

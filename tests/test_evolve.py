@@ -4,7 +4,7 @@ import platform
 import numpy as np
 import pytest
 
-from evodiags import evolve
+from evodiags import evolve, native
 from evodiags import (
     DiagnosticKind,
     MutationParams,
@@ -178,8 +178,8 @@ def no_mallopt(name):
 def test_keep_freed_memory_returns_quietly_without_mallopt(monkeypatch, cdll):
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     # Past the once-per-process cache, twice.
-    assert evolve._keep_freed_memory.__wrapped__() is None
-    assert evolve._keep_freed_memory.__wrapped__() is None
+    assert native.keep_freed_memory.__wrapped__() is None
+    assert native.keep_freed_memory.__wrapped__() is None
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
