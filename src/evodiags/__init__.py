@@ -23,8 +23,8 @@ Modules:
         ``fresh_scheme_state`` starts the run state that ``select``
         updates (novelty's archive and current ``pmin``).
     evolve: the per-replicate generational loop.
-    native: the native calls (glibc's malloc setting, the OpenBLAS pin,
-        and the compiled exact distance kernels, built on first use),
+    native: the native calls (glibc's malloc setting, and the compiled
+        exact distance kernels and lexicase filter, built on first use),
         each of which falls back quietly where native code is missing.
     metrics: generation records from phenotype blocks, and their CSV format.
     stats: Kruskal-Wallis, Wilcoxon rank-sum, Bonferroni correction.

@@ -1,15 +1,17 @@
-/* Exact Euclidean distances, bit for bit those of scipy's pdist and cdist.
+/* Exact kernels: Euclidean distances, bit for bit those of scipy's pdist
+ * and cdist, and lexicase's filter over distinct phenotype rows.
  *
  * Each pair adds its squared differences in dimension order, starting
  * from 0, then takes the square root: the order in which scipy sums them.
  * Vectors run across pairs, never across dimensions, so every pair keeps
  * that order. Built with -ffp-contract=off, no multiply and add are fused;
- * with -fno-math-errno, sqrt is the correctly rounded instruction. Each
+ * with -fno-math-errno, sqrt is the correctly rounded instruction. The
+ * filter only compares values, so no flag changes its result. Each
  * function is cloned for AVX-512F, AVX2 and the baseline, and the loader
  * picks one for the machine it runs on.
  *
- * Blocks come transposed, one contiguous row per dimension, so the
- * values every pass reads lie side by side.
+ * Blocks come transposed, one contiguous row per dimension (per case, for
+ * the filter), so the values every pass reads lie side by side.
  */
 
 #include <math.h>
@@ -108,4 +110,49 @@ CLONES void cross_distances(const double *a, const double *bt, intptr_t na, intp
         }
     }
     take_roots(out, na * nb);
+}
+
+/* Keeps, in place and in order, the k rows of left[] whose value in col
+ * equals the largest among them; returns how many. */
+static inline intptr_t keep_best(const double *col, int64_t *left, intptr_t k)
+{
+    double best = col[left[0]];
+    intptr_t kept = 0;
+    for (intptr_t j = 0; j < k; ++j) {
+        double v = col[left[j]];
+        if (v > best) {
+            best = v;
+            kept = 0;
+        }
+        left[kept] = left[j]; /* kept only if counted: no branch on a tie */
+        kept += v == best;
+    }
+    return kept;
+}
+
+/* Lexicase's filter. For each of the n picks, walks the pick's d cases
+ * (row p of orders) over the m rows whose transpose is t (d x m), keeping
+ * the rows equal to the best value on each case, until one row is left or
+ * the cases run out; out[p] is the lowest row left. A case constant over
+ * all m rows keeps every row, so it is skipped. work holds m + d entries. */
+CLONES void lexicase_filter(const double *t, intptr_t m, intptr_t d, const int64_t *orders,
+                            intptr_t n, int64_t *work, int64_t *out)
+{
+    int64_t *left = work, *varies = work + m;
+    for (intptr_t c = 0; c < d; ++c) {
+        const double *col = t + c * m;
+        varies[c] = 0;
+        for (intptr_t r = 1; r < m && !varies[c]; ++r)
+            varies[c] = col[r] != col[0];
+    }
+    for (intptr_t p = 0; p < n; ++p) {
+        const int64_t *order = orders + p * d;
+        intptr_t k = m;
+        for (intptr_t r = 0; r < m; ++r)
+            left[r] = r;
+        for (intptr_t i = 0; i < d && k > 1; ++i)
+            if (varies[order[i]])
+                k = keep_best(t + order[i] * m, left, k);
+        out[p] = left[0];
+    }
 }

@@ -36,11 +36,11 @@ from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
+from . import native
 from .core import MASK64, ConfigurationError, MutationParams, splitmix64
 from .diagnostics import DIAGNOSTICS, DiagnosticKind, all_diagnostic_names
 from .evolve import ReplicateConfig, run_replicate
 from .metrics import CSV_HEADER, read_records_csv, write_records_csv, written_whole
-from .native import kernels, pin_blas_threads
 from .selection import SCHEMES, SchemeKind, SchemeParams, all_scheme_names
 from .stats import SIGNIFICANCE_LEVEL, bonferroni, kruskal_wallis, wilcoxon_rank_sum
 
@@ -239,10 +239,10 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     workers = config.workers or os.cpu_count() or 1
     workers = min(workers, len(tasks))
-    kernels()  # built and loaded here, so a forked worker inherits them
+    native.kernels()  # built and loaded here, so a forked worker inherits them
     try:
         if workers > 1:
-            with multiprocessing.Pool(workers, initializer=pin_blas_threads) as pool:
+            with multiprocessing.Pool(workers) as pool:
                 # One replicate per dispatch: replicate costs differ by
                 # orders of magnitude across schemes, and batches of them
                 # leave workers idle at the end of a grid.
@@ -267,6 +267,8 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig,
                       "each UTF-8 byte of '<diagnostic>|<scheme>|<rep>' as "
                       "h = splitmix64(h ^ byte)"),
         "replicates": entries,
+        # The fallback writes the same bytes, but runs lexicase several times slower.
+        "native_kernels": native.kernels() is not None,
     }
     if note:
         manifest["note"] = note

@@ -1,12 +1,13 @@
 """The package's calls into native code.
 
-glibc's malloc setting (:func:`keep_freed_memory`), the pin of numpy's
-OpenBLAS to one thread (:func:`pin_blas_threads`), and the compiled
-distance kernels of ``_kernels.c`` (:func:`pair_distances`,
-:func:`cross_distances`). One rule holds for all of them: native code
-that is missing or fails raises nothing. The first two then do nothing,
-and the distances come from scipy's ``pdist`` and ``cdist``, which give
-the same bits.
+glibc's malloc setting (:func:`keep_freed_memory`) and the compiled
+kernels of ``_kernels.c``: the exact distances (:func:`pair_distances`,
+:func:`cross_distances`) and lexicase's filter (:func:`lexicase_rows`).
+One rule holds for all of them: native code that is missing or fails
+raises nothing. The malloc setting then does nothing, the distances come
+from scipy's ``pdist`` and ``cdist``, which give the same bits, and the
+filter from a numpy loop over the case positions, which gives the same
+rows.
 
 The kernels are built by the C compiler ``cc`` on first use, into a
 per-user cache directory outside the checkout, and loaded from there by
@@ -21,6 +22,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import time
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -57,33 +59,6 @@ def keep_freed_memory() -> None:
         pass
 
 
-# The file name of numpy's bundled OpenBLAS.
-_BLAS_LIBRARY = "libscipy_openblas64_"
-
-
-def pin_blas_threads() -> None:
-    """Run numpy's bundled OpenBLAS, found among the process's mapped
-    files, on one thread in this process.
-
-    A grid runs a pool worker per core, and OpenBLAS may run a thread per
-    core in each worker for lexicase's key product, the package's one
-    float matrix product: two workers then ran lexicase several times
-    slower than one. A pool whose initializer raises restarts its workers
-    without end, so a library or call that is not there is let be.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = {line.split(maxsplit=5)[5].strip()
-                     for line in maps if _BLAS_LIBRARY in line}
-        for path in sorted(paths):
-            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            set_threads(1)
-    # No maps file or library, no such call, or a path that is not UTF-8.
-    except (OSError, AttributeError, ValueError):
-        pass
-
-
 # The kernels' build. The flags keep every pair's sum in scipy's order:
 # no fused multiply-add, no reassociation. A change to the source or the
 # flags gives the library a new name.
@@ -93,6 +68,7 @@ _BUILD_SECONDS = 120
 
 _BLOCK = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
 _OUT = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+_INDICES = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _SIZE = ctypes.c_ssize_t
 
 
@@ -113,7 +89,10 @@ def _built_library() -> Path:
 
     The compiler writes to a temporary name in the cache directory, and
     the finished library is renamed into place, so no process loads a
-    half-written file.
+    half-written file. A build first removes the temporary files of
+    builds that ended without a rename, those older than a build may
+    run; other sources' libraries stay, for checkouts that share the
+    cache.
     """
     source = resources.files(__package__).joinpath("_kernels.c").read_bytes()
     key = hashlib.sha256(b"\0".join(
@@ -122,6 +101,13 @@ def _built_library() -> Path:
     if library.exists():
         return library
     library.parent.mkdir(parents=True, exist_ok=True)
+    stale = time.time() - _BUILD_SECONDS
+    for left in library.parent.glob(".kernels-*.so.*"):
+        try:
+            if left.stat().st_mtime < stale:
+                left.unlink()
+        except FileNotFoundError:  # another build removed or renamed it first
+            pass
     handle, partial = tempfile.mkstemp(prefix=f".{library.name}.", dir=library.parent)
     os.close(handle)
     try:
@@ -136,22 +122,33 @@ def _built_library() -> Path:
 
 @functools.cache
 def kernels() -> Optional[ctypes.CDLL]:
-    """The compiled distance kernels, built if need be, loaded once per
-    process; None where they cannot be built or loaded, or where they
-    disagree with scipy on :func:`_check_block`."""
+    """The compiled kernels, built if need be, loaded once per process;
+    None where they cannot be built or loaded, or where they disagree
+    with scipy or the numpy filter on :func:`_check_block`."""
     try:
         library = ctypes.CDLL(str(_built_library()))
         library.pair_distances.argtypes = [_BLOCK, _SIZE, _SIZE, _OUT]
         library.cross_distances.argtypes = [_BLOCK, _BLOCK, _SIZE, _SIZE, _SIZE, _OUT]
+        library.lexicase_filter.argtypes = [_BLOCK, _SIZE, _SIZE, _INDICES, _SIZE,
+                                            _INDICES, _INDICES]
         library.pair_distances.restype = library.cross_distances.restype = None
+        library.lexicase_filter.restype = None
     # No compiler, a failed or timed-out build, an unwritable cache, a
     # library that does not load or lacks a kernel.
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
     block = _check_block()
     a, b = block[:23], block[18:]
+    # Rows that tie on most cases, with clones and zeros of both signs,
+    # and two constant cases, one of them zeros of both signs.
+    rows = np.floor(block / 40.0)
+    rows[:, 3] = 1.0
+    rows[:, 8] *= 0.0
+    orders = np.random.default_rng(0).permuted(np.tile(np.arange(13), (64, 1)), axis=1)
     agrees = (_same_bits(_native_pairs(library, block), pdist(block))
-              and _same_bits(_native_cross(library, a, b), cdist(a, b)))
+              and _same_bits(_native_cross(library, a, b), cdist(a, b))
+              and np.array_equal(_native_lexicase(library, rows, orders),
+                                 _filter_by_case(rows, orders)))
     return library if agrees else None
 
 
@@ -189,6 +186,33 @@ def _native_cross(library: ctypes.CDLL, a: np.ndarray, b: np.ndarray) -> np.ndar
     return out
 
 
+def _native_lexicase(library: ctypes.CDLL, rows: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    m, d = rows.shape
+    out = np.empty(len(orders), dtype=np.int64)
+    library.lexicase_filter(np.ascontiguousarray(rows.T, dtype=np.float64), m, d,
+                            orders, len(orders), np.empty(m + d, dtype=np.int64), out)
+    return out
+
+
+def _filter_by_case(rows: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """The kernel's rows in numpy: one pass per case position over the
+    picks still open, those with more than one row left."""
+    out = np.zeros(len(orders), dtype=np.int64)
+    picks = np.arange(len(orders))
+    left = np.ones((len(orders), len(rows)), dtype=bool)
+    cases = rows.T
+    for position in orders.T:
+        if not picks.size:
+            break
+        values = cases[position[picks]]
+        left &= values == np.where(left, values, -np.inf).max(axis=1, keepdims=True)
+        done = left.sum(axis=1) == 1
+        out[picks[done]] = left[done].argmax(axis=1)
+        picks, left = picks[~done], left[~done]
+    out[picks] = left.argmax(axis=1)
+    return out
+
+
 def pair_distances(rows: np.ndarray) -> np.ndarray:
     """``pdist(rows)`` bit for bit: the Euclidean distance of every pair
     of rows, in ``pdist``'s condensed order."""
@@ -201,3 +225,19 @@ def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of ``a`` to every row of ``b``."""
     library = kernels()
     return cdist(a, b) if library is None else _native_cross(library, a, b)
+
+
+def lexicase_rows(rows: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Lexicase's filter: for each row of ``orders``, a permutation of the
+    columns of ``rows``, the lowest row left after keeping, case by case
+    in that order, the rows equal to the best value among those left."""
+    orders = np.ascontiguousarray(orders, dtype=np.int64)
+    m, d = rows.shape
+    # The kernel reads d cases a pick, each one column of rows, and at least one row.
+    off_cases = orders.size and (orders.min() < 0 or orders.max() >= d)
+    if orders.ndim != 2 or orders.shape[1] != d or off_cases or (len(orders) and not m):
+        raise ValueError(f"case orders of shape {orders.shape} over {m} rows of {d} cases")
+    library = kernels()
+    if library is None:
+        return _filter_by_case(rows, orders)
+    return _native_lexicase(library, rows, orders)

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.spatial.distance import squareform
 
 from .core import MASK64, SPLITMIX_GAMMA, UPPER_BOUND, ConfigurationError, Population, splitmix64
-from .native import cross_distances, pair_distances
+from .native import cross_distances, lexicase_rows, pair_distances
 
 
 class SchemeKind(str, Enum):
@@ -282,11 +282,6 @@ def stochastic_remainder(
 # ---------------------------------------------------------------------------
 
 
-# Float64 holds every integer below 2**53 exactly, so mixed-radix keys
-# whose radix product stays below this limit compare without rounding.
-_KEY_LIMIT = 2.0 ** 53
-
-
 @functools.lru_cache
 def _hash_multipliers(dim: int) -> np.ndarray:
     """The row hash's odd multipliers, SplitMix64's first ``dim`` outputs from 0; read-only."""
@@ -314,6 +309,36 @@ def _distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(rows, axis=0, return_inverse=True)
 
 
+def lexicase_select(pop: Population, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Filter candidates through shuffled test cases, one parent at a time.
+
+    Each trait is a test case. For every parent pick, the case order is
+    reshuffled and candidates must tie the running best (exact float
+    equality) on each case in turn; once one candidate remains (or cases
+    run out) a parent is drawn uniformly from the survivors.
+
+    Clones pass or fail every case together, so the filter runs over the
+    distinct phenotype rows (:func:`evodiags.native.lexicase_rows`) and
+    the winning row's members split the pick uniformly.
+    """
+    pheno = pop.phenotypes
+    distinct, inverse = _distinct_rows(pheno)
+    orders = rng.permuted(np.tile(np.arange(pheno.shape[1]), (n, 1)), axis=1)
+    winner_rows = lexicase_rows(distinct, orders)
+    # Uniform pick among the clones sharing the winning phenotype.
+    members_by_row = np.argsort(inverse, kind="stable")
+    class_sizes = np.bincount(inverse, minlength=distinct.shape[0])
+    offsets = np.concatenate([[0], np.cumsum(class_sizes)])
+    draws = rng.random(n)
+    slot = np.floor(draws * class_sizes[winner_rows]).astype(np.int64)
+    return members_by_row[offsets[winner_rows] + slot]
+
+
+# ---------------------------------------------------------------------------
+# Nondominated sorting
+# ---------------------------------------------------------------------------
+
+
 def _trait_ranks(values: np.ndarray) -> np.ndarray:
     """Dense ranks of an (N, D) block, transposed: ``ranks[c, i]`` is the
     rank of ``values[i, c]`` among column ``c`` (0 for the smallest).
@@ -336,131 +361,6 @@ def _trait_ranks(values: np.ndarray) -> np.ndarray:
     ranks = np.empty_like(steps)
     ranks.put(flat, steps)
     return ranks
-
-
-def _run_spans(radix: np.ndarray, cases: np.ndarray, window: int) -> np.ndarray:
-    """The running radix products of each row's leading cases, over the
-    longest run whose product stays below ``_KEY_LIMIT`` in every row.
-
-    The products are exact below the limit and never fall back below it
-    once past, and a single case always fits, its radix being at most N.
-    So once one row passes the limit within the first ``window`` cases,
-    the shortest run ends there, as it would over all cases; until then
-    the window doubles.
-    """
-    while True:
-        spans = np.cumprod(radix[cases[:, :window]], axis=1)
-        if window >= cases.shape[1] or (spans[:, -1] >= _KEY_LIMIT).any():
-            break
-        window *= 2
-    return spans[:, :int((spans < _KEY_LIMIT).sum(axis=1).min())]
-
-
-def _candidate_block(alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's alive columns, ascending and padded to the longest
-    row's count, and the mask of the entries that are not padding."""
-    counts = alive.sum(axis=1)
-    mask = np.arange(counts.max()) < counts[:, np.newaxis]
-    block = np.zeros(mask.shape, dtype=np.intp)
-    block[mask] = np.flatnonzero(alive) % alive.shape[1]
-    return block, mask
-
-
-def lexicase_select(pop: Population, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Filter candidates through shuffled test cases, one parent at a time.
-
-    Each trait is a test case. For every parent pick, the case order is
-    reshuffled and candidates must tie the running best (exact float
-    equality) on each case in turn; once one candidate remains (or cases
-    run out) a parent is drawn uniformly from the survivors.
-
-    Implementation note: individuals with identical phenotypes pass or
-    fail every filter together, and any survivors left after a full pass
-    are exact phenotype ties. Filtering therefore runs over the distinct
-    phenotype rows, and the winning row's members split the pick
-    uniformly. Filtering on cases ``c1, c2, ...`` in turn keeps the row
-    whose traits, read in that order, form the lexicographically largest
-    sequence. Traits are replaced by their dense ranks within each
-    column, which keeps every tie and every order, so a run of
-    consecutive cases reads as one mixed-radix number per row. A run
-    lasts while its radix product stays below ``_KEY_LIMIT``, where the
-    numbers are exact floats: any sum of their terms is an exact integer.
-    Each pass keys one run for the picks still open, those left with
-    more than one candidate, and drops it from the front of their case
-    orders; with ``n = 0`` no pick is open and the result is empty. The
-    first pass keys every distinct row for all picks at once by one
-    matrix product. With about 50 ranks per column a run covers about 9
-    cases, so a 100-case population can take 10 or more passes, but
-    after the first no open pick keeps more than about 15 of some 400
-    rows. So the survivors are then gathered into one ascending, padded
-    row of candidates per open pick, and each later pass keys only those,
-    from the ranks of its run's cases. The lowest surviving row wins
-    either way. When the cases left after the first run are no more than
-    it, as with few ranks per column, the one or two passes left key
-    every row, which costs less than the gather.
-    """
-    pheno = pop.phenotypes
-    dim = pheno.shape[1]
-    distinct, inverse = _distinct_rows(pheno)
-    orders = rng.permuted(np.tile(np.arange(dim), (n, 1)), axis=1)
-    winner_rows = np.zeros(n, dtype=np.int64)
-    ranks = _trait_ranks(distinct).astype(np.float64)
-    radix = ranks.max(axis=1) + 1.0
-    # The picks still open, the cases each has left, its candidates and
-    # (after the first pass) alive[i, j], which says candidate j of open
-    # pick i is still alive. Candidates are every row, column j being row
-    # j, until the first pass's survivors are gathered; then candidates[i]
-    # holds pick i's rows, ascending, and its padding is never alive.
-    # Distinct rows cannot tie on every case, so by its last case each
-    # pick has exactly one row alive and is closed. A lone distinct row
-    # ranks 0 with radix 1 on every case, so one pass keys every pick to
-    # it and leaves none open.
-    picks = np.arange(n)
-    candidates = alive = None
-    window = dim
-    while orders.size:
-        # The first window is every case; a later one is twice the last
-        # run, as the runs of later passes are about as long.
-        spans = _run_spans(radix, orders, window)
-        length = spans.shape[1]
-        # A case's place value is the radix product of the run's
-        # later cases; the quotient of exact integers is exact.
-        place = spans[:, -1:] / spans
-        cases = orders[:, :length]
-        if candidates is None:
-            weights = np.zeros((picks.size, dim))
-            weights[np.arange(picks.size)[:, np.newaxis], cases] = place
-            keys = weights @ ranks
-        else:
-            # keys[i, j] sums place[i, k] * ranks[cases[i, k], candidates[i, j]],
-            # gathered by flat position.
-            gathered = ranks.ravel().take(
-                cases[:, :, np.newaxis] * ranks.shape[1] + candidates[:, np.newaxis, :])
-            keys = np.matmul(place[:, np.newaxis, :], gathered)[:, 0]
-        if alive is not None:
-            keys = np.where(alive, keys, -1.0)
-        alive = keys == keys.max(axis=1, keepdims=True)
-        first = alive.argmax(axis=1)
-        winner_rows[picks] = first if candidates is None else candidates[np.arange(first.size), first]
-        still_open = alive.sum(axis=1) > 1
-        picks, orders, alive = picks[still_open], orders[still_open, length:], alive[still_open]
-        window = 2 * length
-        if candidates is not None:
-            candidates = candidates[still_open]
-        elif picks.size and orders.shape[1] > length:
-            candidates, alive = _candidate_block(alive)
-    # Uniform pick among the clones sharing the winning phenotype.
-    members_by_row = np.argsort(inverse, kind="stable")
-    class_sizes = np.bincount(inverse, minlength=distinct.shape[0])
-    offsets = np.concatenate([[0], np.cumsum(class_sizes)])
-    draws = rng.random(n)
-    slot = np.floor(draws * class_sizes[winner_rows]).astype(np.int64)
-    return members_by_row[offsets[winner_rows] + slot]
-
-
-# ---------------------------------------------------------------------------
-# Nondominated sorting
-# ---------------------------------------------------------------------------
 
 
 # Dominance is tested on all pairs, ``_DENSE_STRIDE`` objectives between

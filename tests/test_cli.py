@@ -1,5 +1,4 @@
 import argparse
-import ctypes
 import json
 import os
 import subprocess
@@ -21,7 +20,7 @@ from evodiags import (
     fresh_scheme_state,
     read_records_csv,
 )
-from evodiags import cli, native
+from evodiags import cli
 from evodiags.cli import (
     ExperimentConfig,
     all_diagnostic_names,
@@ -251,49 +250,6 @@ def test_parallel_workers_match_sequential_output(tmp_path):
     for path_a in sorted(Path(seq.output_dir).glob("*.csv")):
         path_b = Path(par.output_dir) / path_a.name
         assert path_a.read_bytes() == path_b.read_bytes()
-
-
-def numpy_blas():
-    """numpy's bundled OpenBLAS as mapped in this process, or None."""
-    with open("/proc/self/maps", encoding="utf-8") as maps:
-        paths = sorted({line.split(maxsplit=5)[5].strip()
-                        for line in maps if "libscipy_openblas64_" in line})
-    return ctypes.CDLL(paths[0]) if paths else None
-
-
-def report_blas_threads(task) -> dict:
-    """Stands in for one replicate: the worker's OpenBLAS thread count."""
-    return {"blas_threads": numpy_blas().scipy_openblas_get_num_threads64_()}
-
-
-def test_pool_workers_run_blas_on_one_thread(tmp_path, monkeypatch):
-    blas = numpy_blas()
-    if blas is None:
-        pytest.skip("numpy carries no bundled OpenBLAS here")
-    threads = blas.scipy_openblas_get_num_threads64_()
-    # Forked workers start with the parent's count; two shows the pin.
-    blas.scipy_openblas_set_num_threads64_(2)
-    monkeypatch.setattr(cli, "_run_one", report_blas_threads)
-    try:
-        for workers, expected in ((2, 1), (1, 2)):  # the in-process path is left alone
-            cfg = small_grid_config(
-                tmp_path, output_dir=str(tmp_path / f"w{workers}"), workers=workers)
-            assert run_experiment(cfg) == 0
-            manifest = json.loads((Path(cfg.output_dir) / "manifest.json").read_text())
-            assert {entry["blas_threads"] for entry in manifest["replicates"]} == {expected}
-    finally:
-        blas.scipy_openblas_set_num_threads64_(threads)
-
-
-@pytest.mark.parametrize("library", ["libno_such_blas", "libscipy_openblas-"],
-                         ids=["not-mapped", "no-such-call"])
-def test_blas_pin_returns_quietly_without_the_library(monkeypatch, library):
-    # scipy's own OpenBLAS is mapped, but has no call of numpy's name.
-    monkeypatch.setattr(native, "_BLAS_LIBRARY", library)
-    blas = numpy_blas()
-    before = blas and blas.scipy_openblas_get_num_threads64_()
-    native.pin_blas_threads()
-    assert (blas and blas.scipy_openblas_get_num_threads64_()) == before
 
 
 def write_synthetic_results(out: Path, per_scheme: dict, diagnostic="exploitation-rate"):

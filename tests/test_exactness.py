@@ -1,11 +1,12 @@
-"""Property checks of the exact distance blocks, on drawn blocks.
+"""Property checks of the exact kernels, on drawn blocks.
 
-Every pair block the schemes use must equal ``cdist`` bit for bit, on
-the compiled kernels and on scipy's fallback alike. The blocks are drawn
-from small grids of integers, scaled: ties, clones, signed zeros and
-constant columns are common, and a scale such as 0.1 makes the sums
-round, so a kernel that fuses a multiply and an add, or adds the
-dimensions in another order, gives other bits. The draws are fixed
+Every pair block the schemes use must equal ``cdist`` bit for bit, and
+lexicase must pick what the case-by-case oracle picks from the same
+stream, on the compiled kernels and on the fallback alike. The blocks
+are drawn from small grids of integers, scaled: ties, clones, signed
+zeros and constant columns are common, and a scale such as 0.1 makes
+the sums round, so a kernel that fuses a multiply and an add, or adds
+the dimensions in another order, gives other bits. The draws are fixed
 (``derandomize``) and bounded, and keep no example database, so every
 run checks the same blocks.
 """
@@ -16,11 +17,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from evodiags import native, selection
+from evodiags import Population, native, selection
+
+from oracles import oracle_lexicase_by_case
 
 # On a failure, hypothesis's pytest plugin imports its patch writer, whose
 # libcst import raises a DeprecationWarning from mypy_extensions. With
@@ -44,11 +47,28 @@ def blocks(draw, min_rows=1):
     scale = draw(st.sampled_from([1.0, 0.1, 1 / 3, 2.5e-4, 1e-160]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     block = rng.integers(-steps, steps + 1, size=(n, d)) * scale
-    block[:, rng.random(d) < draw(st.sampled_from([0.0, 0.2]))] = scale  # constant columns
     clones = rng.integers(0, n, size=n)
     cloned = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.95]))
     block[cloned] = block[clones[cloned]]
     block[rng.random((n, d)) < 0.5] *= -1.0  # a zero becomes -0.0
+    block[:, rng.random(d) < draw(st.sampled_from([0.0, 0.2]))] = scale  # constant columns
+    return block
+
+
+@st.composite
+def case_blocks(draw):
+    """Up to 200 rows of up to 40 cases, as in evolved populations: clones
+    of fewer distinct rows, each case on five levels, so that rows tie on
+    most cases; zeros of both signs; constant cases, some of them zeros of
+    both signs, which are one value."""
+    n = draw(st.integers(1, 200))
+    d = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.integers(-2, 3, size=(draw(st.integers(1, n)), d)) * 0.5
+    block = levels[rng.integers(0, len(levels), size=n)]
+    constant = rng.random(d) < draw(st.sampled_from([0.0, 0.25]))
+    block[:, constant] = rng.integers(-1, 2, size=constant.sum())
+    block[(block == 0.0) & (rng.random((n, d)) < 0.5)] = -0.0
     return block
 
 
@@ -86,3 +106,35 @@ def test_the_cross_block_equals_cdist(path, block, data):
     with on_path(path):
         got = native.cross_distances(a, b)
     assert same_bits(got, cdist(a, b))
+
+
+# The oracle keeps every pick open to the last case, over every member.
+LEXICASE = dict(block=case_blocks(), n=st.integers(0, 100), seed=st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("path", PATHS)
+@EXACT
+@given(**LEXICASE)
+@example(block=np.full((9, 4), -0.0), n=7, seed=0)  # one distinct row
+@example(block=np.eye(3), n=0, seed=0)  # no picks
+def test_lexicase_picks_equal_the_case_by_case_oracle(path, block, n, seed):
+    rng, stream = np.random.default_rng(seed), np.random.default_rng(seed)
+    with on_path(path):
+        got = selection.lexicase_select(Population(block.copy(), block, block.sum(axis=1)), n, rng)
+    orders = stream.permuted(np.tile(np.arange(block.shape[1]), (n, 1)), axis=1)
+    assert got.shape == (n,)
+    assert np.array_equal(got, oracle_lexicase_by_case(block, orders, stream.random(n)))
+    assert rng.bit_generator.state == stream.bit_generator.state
+
+
+@pytest.mark.parametrize("path", PATHS)
+@EXACT
+@given(**LEXICASE)
+def test_the_lexicase_filter_keeps_the_lowest_row_left(path, block, n, seed):
+    # Over rows that are not distinct, a pick can end with clones left;
+    # the oracle's zero draw takes the lowest of them.
+    cases = np.tile(np.arange(block.shape[1]), (n, 1))
+    orders = np.random.default_rng(seed).permuted(cases, axis=1)
+    with on_path(path):
+        got = native.lexicase_rows(block, orders)
+    assert np.array_equal(got, oracle_lexicase_by_case(block, orders, np.zeros(n)))

@@ -6,11 +6,13 @@ cleared again afterwards, so later tests load the usual library afresh.
 A fallback must be silent: warnings are errors in this suite.
 """
 
+import json
 import multiprocessing
 import os
 import stat
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -140,15 +142,67 @@ def test_a_rejected_target_clones_falls_back(cache, monkeypatch, tmp_path):
 
 
 def test_a_failed_self_check_falls_back(cache, monkeypatch):
-    # The kernels are right, but pdist now disagrees with them by one ulp.
+    # The kernels are right, but pdist now disagrees with them by one ulp;
+    # or the lexicase kernel walks each pick's cases from the last.
     def off_by_one_ulp(rows):
         return np.nextafter(pdist(rows), np.inf)
 
-    monkeypatch.setattr(native, "pdist", off_by_one_ulp)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert native.kernels() is None
+    lexicase = native._native_lexicase
+
+    def cases_reversed(library, rows, orders):
+        return lexicase(library, rows, np.ascontiguousarray(orders[:, ::-1]))
+
+    for name, wrong in (("pdist", off_by_one_ulp), ("_native_lexicase", cases_reversed)):
+        native.kernels.cache_clear()
+        with monkeypatch.context() as patch, warnings.catch_warnings():
+            patch.setattr(native, name, wrong)
+            warnings.simplefilter("error")
+            assert native.kernels() is None
     assert len(list(cache.iterdir())) == 1  # built, then refused
+
+
+def test_a_build_removes_only_stale_partial_files(cache):
+    # A killed build leaves its temporary file; another source's library
+    # and a build still running keep theirs.
+    cache.mkdir(parents=True)
+    other = cache / "kernels-0123456789abcdef.so"
+    stale, running = (cache / f".{other.name}.{suffix}" for suffix in ("a1", "b2"))
+    for path in (stale, running, other):
+        path.write_bytes(b"")
+    long_ago = time.time() - native._BUILD_SECONDS - 60
+    os.utime(stale, (long_ago, long_ago))
+    assert native.kernels() is not None
+    assert not stale.exists() and running.exists() and other.exists()
+
+
+def test_the_manifest_says_whether_the_kernels_ran(tmp_path, monkeypatch):
+    config = ExperimentConfig(
+        diagnostics=["valley-crossing"], schemes=["lexicase"], replicates=1,
+        output_dir=str(tmp_path / "native"), pop_size=16, generations=5, dim=4, workers=1)
+
+    def recorded(output_dir):
+        config.output_dir = str(output_dir)
+        assert run_experiment(config) == 0
+        return json.loads((output_dir / "manifest.json").read_text())["native_kernels"]
+
+    assert native.kernels() is not None
+    assert recorded(tmp_path / "native") is True
+    monkeypatch.setattr(native, "kernels", lambda: None)
+    assert recorded(tmp_path / "fallback") is False
+
+
+@pytest.mark.parametrize("path", ["native", "fallback"])
+def test_lexicase_rows_refuse_orders_off_the_cases(monkeypatch, path):
+    # Before the kernel reads outside the block.
+    if path == "fallback":
+        monkeypatch.setattr(native, "kernels", lambda: None)
+    orders = np.tile(np.arange(5), (3, 1))
+    assert np.array_equal(native.lexicase_rows(ROWS, orders), native._filter_by_case(ROWS, orders))
+    for wrong in (orders[:, :4], orders + 1, orders - 1, orders[0]):
+        with pytest.raises(ValueError):
+            native.lexicase_rows(ROWS, wrong)
+    with pytest.raises(ValueError):
+        native.lexicase_rows(ROWS[:0], orders)
 
 
 def test_cross_distances_refuse_unequal_dimensions():

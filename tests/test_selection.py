@@ -526,21 +526,6 @@ def test_trait_ranks_equal_the_per_column_unique_inverse(n):
         assert np.array_equal(ranks[c], expected)
 
 
-def test_run_spans_match_the_products_over_every_case():
-    # From whatever window it starts, the run and its radix products are
-    # those the cumulative product over every remaining case gives.
-    rng = np.random.default_rng(37)
-    for _ in range(40):
-        dim, rows = int(rng.integers(1, 120)), int(rng.integers(1, 20))
-        radix = rng.choice([1.0, 2.0, 3.0, 42.0, 512.0], size=dim, p=rng.dirichlet(np.ones(5)))
-        cases = rng.permuted(np.tile(np.arange(dim), (rows, 1)), axis=1)
-        spans = np.cumprod(radix[cases], axis=1)
-        length = int((spans < 2.0 ** 53).sum(axis=1).min())
-        for window in (1, 2, 7, dim):
-            got = selection._run_spans(radix, cases, window)
-            assert np.array_equal(got, spans[:, :length])
-
-
 def mutant_block(rng, losses, dim=100):
     """40 rows whose columns each hold the levels 0..39 in a random
     order, then, for each case k and each step in ``losses``, a mutant of
