@@ -372,7 +372,7 @@ def analyze(
 
     destination = Path(out_path) if out_path else directory / "comparisons.csv"
     try:
-        with open(destination, "w", newline="", encoding="utf-8") as handle:
+        with written_whole(destination, newline="", encoding="utf-8") as handle:
             handle.write(",".join(COMPARISONS_HEADER) + "\n")
             for row in rows:
                 handle.write(",".join(row) + "\n")

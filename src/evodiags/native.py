@@ -1,17 +1,18 @@
 """The package's calls into native code.
 
 glibc's malloc setting (:func:`keep_freed_memory`) and the compiled
-kernels of ``_kernels.c``: the exact distances (:func:`pair_distances`,
+kernels of ``_kernels.c``: the exact distances (:func:`pair_block`,
 :func:`cross_distances`) and lexicase's filter (:func:`lexicase_rows`).
 One rule holds for all of them: native code that is missing or fails
 raises nothing. The malloc setting then does nothing, the distances come
 from scipy's ``pdist`` and ``cdist``, which give the same bits, and the
 filter from a numpy loop over the case positions, which gives the same
-rows.
+rows. Only this module knows the condensed order of the pairs.
 
 The kernels are built by the C compiler ``cc`` on first use, into a
 per-user cache directory outside the checkout, and loaded from there by
-every later process. Importing this module builds and loads nothing.
+every later process. Importing this module builds and loads nothing, not
+even scipy, which the calls that use it import on first use.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ import tempfile
 import time
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 # glibc's mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD = -1
@@ -137,6 +137,7 @@ def kernels() -> Optional[ctypes.CDLL]:
     # library that does not load or lacks a kernel.
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
+    from scipy.spatial.distance import cdist, pdist
     block = _check_block()
     a, b = block[:23], block[18:]
     # Rows that tie on most cases, with clones and zeros of both signs,
@@ -213,18 +214,30 @@ def _filter_by_case(rows: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair_distances(rows: np.ndarray) -> np.ndarray:
-    """``pdist(rows)`` bit for bit: the Euclidean distance of every pair
-    of rows, in ``pdist``'s condensed order."""
+def pair_block(rows: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``f(cdist(rows, rows))`` bit for bit, for an element-wise ``f``.
+
+    Each pair's distance is computed once, in ``pdist``'s condensed order
+    and by ``cdist``'s rule: its squared differences added in dimension
+    order from 0, then the square root. So ``f`` runs on N(N-1)/2 values;
+    the diagonal, where ``cdist`` gives 0, is ``f(0)``.
+    """
+    from scipy.spatial.distance import pdist, squareform
     library = kernels()
-    return pdist(rows) if library is None else _native_pairs(library, rows)
+    pairs = pdist(rows) if library is None else _native_pairs(library, rows)
+    block = squareform(f(pairs))
+    np.fill_diagonal(block, f(np.zeros(1)))
+    return block
 
 
 def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``cdist(a, b)`` bit for bit: the Euclidean distance from every row
     of ``a`` to every row of ``b``."""
     library = kernels()
-    return cdist(a, b) if library is None else _native_cross(library, a, b)
+    if library is not None:
+        return _native_cross(library, a, b)
+    from scipy.spatial.distance import cdist
+    return cdist(a, b)
 
 
 def lexicase_rows(rows: np.ndarray, orders: np.ndarray) -> np.ndarray:

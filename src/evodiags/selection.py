@@ -15,11 +15,9 @@ Sharing distances are normalized by the search space diameter
 (``upper_bound * sqrt(D)``), so that ``sigma`` reads as a fraction of
 it, unless a flag asks for raw ones; novelty's are always raw, as its
 threshold ``pmin`` is. Every distance block equals the ``cdist`` form
-bit for bit, but computes each pair once over the distinct rows, grouped
-for every scheme by one hashed rule (:func:`_distinct_rows`): a pair's
-squared differences are added in dimension order from 0, then its square
-root taken, by compiled kernels or scipy's ``pdist`` and ``cdist``
-(:mod:`evodiags.native`).
+bit for bit, but covers only the distinct rows, grouped for every scheme
+by one hashed rule (:func:`_distinct_rows`); :mod:`evodiags.native`
+computes the blocks.
 Sharing and nsga take niche counts by :func:`_clone_counts`, novelty
 gathers distances back per member, and nsga's :func:`_fronts` tests its
 later objectives only on the pairs still in the dominance block.
@@ -34,10 +32,9 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.spatial.distance import squareform
 
 from .core import MASK64, SPLITMIX_GAMMA, UPPER_BOUND, ConfigurationError, Population, splitmix64
-from .native import cross_distances, lexicase_rows, pair_distances
+from .native import cross_distances, lexicase_rows, pair_block
 
 
 class SchemeKind(str, Enum):
@@ -196,27 +193,12 @@ def sharing_kernel(d: np.ndarray, sigma: float, alpha: float) -> np.ndarray:
     return np.where(d < sigma, 1.0 - (d / sigma) ** alpha, 0.0)
 
 
-def _pair_block(
-    rows: np.ndarray, f: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """``f(cdist(rows, rows))`` bit for bit, for an element-wise ``f``.
-
-    Each pair's distance is computed once, by ``cdist``'s rule: its
-    squared differences added in dimension order from 0, then the square
-    root. So ``f`` runs on N(N-1)/2 values; the diagonal, where ``cdist``
-    gives 0, is ``f(0)``.
-    """
-    block = squareform(f(pair_distances(rows)))
-    np.fill_diagonal(block, f(np.zeros(1)))
-    return block
-
-
 def _sharing_block(
     rows: np.ndarray, sigma: float, alpha: float, normalize: bool
 ) -> np.ndarray:
     """The sharing kernel of every pair of ``rows``, self pairs included."""
     scale = UPPER_BOUND * np.sqrt(rows.shape[1]) if normalize else 1.0
-    return _pair_block(rows, lambda d: sharing_kernel(d / scale, sigma, alpha))
+    return pair_block(rows, lambda d: sharing_kernel(d / scale, sigma, alpha))
 
 
 def _clone_counts(kernel: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -449,7 +431,7 @@ def novelty_scores(
     distinct, inverse = _distinct_rows(phenotypes)
     n = len(inverse)
     # The block equals cdist(distinct, vstack([distinct, archive])) bit for bit.
-    dists = _pair_block(distinct, np.asarray)
+    dists = pair_block(distinct, np.asarray)
     if len(archive):
         dists = np.hstack([dists, cross_distances(distinct, np.asarray(archive, dtype=np.float64))])
     columns = np.concatenate([inverse, np.arange(len(distinct), dists.shape[1])])

@@ -7,7 +7,8 @@ Wilcoxon rank-sum tests with a Bonferroni correction.
 Rank statistics are computed here with midranks and tie corrections;
 only the chi-square survival function and the normal distribution
 function come from scipy (``scipy.special``, which imports far faster
-than ``scipy.stats``). The rank-sum test finds both tails of U,
+than ``scipy.stats``), imported where they are called, so importing
+this module loads no scipy. The rank-sum test finds both tails of U,
 P(U <= u) and P(U >= u): exactly (full enumeration) for small tie-free
 samples, by a continuity-corrected normal approximation otherwise.
 ``less`` reads the lower tail, ``greater`` the upper, and two-sided
@@ -21,7 +22,6 @@ from math import comb
 from typing import Sequence
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
 
 SIGNIFICANCE_LEVEL: float = 0.05
 
@@ -46,6 +46,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     ``len(groups) - 1`` degrees of freedom. Fully identical data gives
     H = 0 and p = 1.
     """
+    from scipy.special import chdtrc
     arrays = [np.asarray(g, dtype=np.float64) for g in groups]
     if len(arrays) < 2:
         raise ValueError("kruskal_wallis needs at least two groups")
@@ -119,6 +120,7 @@ def _normal_rank_sum_tails(
 ) -> tuple[float, float]:
     """P(U <= u_obs) and P(U >= u_obs) by the normal approximation, each
     with its continuity correction."""
+    from scipy.special import ndtr
     n = n_a + n_b
     mean_u = n_a * n_b / 2.0
     var_u = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))

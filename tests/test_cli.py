@@ -1,4 +1,6 @@
 import argparse
+import builtins
+import errno
 import json
 import os
 import subprocess
@@ -332,6 +334,44 @@ def test_analyze_skips_a_diagnostic_with_fewer_than_three_values(tmp_path, capsy
     assert len((out / "comparisons.csv").read_text().splitlines()) == 1
 
 
+class FailsOnSecondWrite:
+    """A file handle whose second write fails, as on a full disk."""
+
+    def __init__(self, handle):
+        self.handle, self.writes = handle, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.handle.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+
+def test_analyze_failed_write_leaves_no_comparisons_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "res"
+    write_synthetic_results(out, {
+        "truncation": [101.0 + i for i in range(10)],
+        "random": [1.0 + i for i in range(10)]})
+    real_open = open
+
+    def opens_a_failing_handle(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        failing = "w" in mode and Path(file).name.startswith("comparisons.csv")
+        return FailsOnSecondWrite(handle) if failing else handle
+
+    monkeypatch.setattr(builtins, "open", opens_a_failing_handle)
+    assert analyze(str(out), metric="best_total_fitness") == 2
+    monkeypatch.undo()
+    assert "cannot write" in capsys.readouterr().err
+    assert not [p for p in out.iterdir() if p.name.startswith("comparisons")]
+
+
 def test_analyze_rejects_unknown_metric(tmp_path):
     (tmp_path / "res").mkdir()
     assert analyze(str(tmp_path / "res"), metric="nope") == 1
@@ -421,6 +461,20 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     proc = run_python("-c", "import sys, evodiags.cli; print('scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_importing_the_package_and_describe_load_no_scipy():
+    # scipy is imported where the distances and the statistics call it;
+    # describe computes nothing, so a launch of it loads only numpy.
+    proc = run_python("-c", "import sys, evodiags, evodiags.cli\n"
+                      "loaded = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+                      "print(loaded())\n"
+                      "evodiags.cli.main(['describe'])\n"
+                      "print(loaded())")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "selection schemes:" in lines
+    assert (lines[0], lines[-1]) == ("[]", "[]")
 
 
 def test_each_replicate_key_has_its_library_field_type():

@@ -1,8 +1,11 @@
 """Property checks of the exact kernels, on drawn blocks.
 
 Every pair block the schemes use must equal ``cdist`` bit for bit, and
-lexicase must pick what the case-by-case oracle picks from the same
-stream, on the compiled kernels and on the fallback alike. The blocks
+so must what each scheme makes of it: sharing's niche counts, nsga's
+shared fitness and novelty's scores, each against its all-member
+``cdist`` form. nsga's fronts must be the dense peel's, and lexicase
+must pick what the case-by-case oracle picks from the same stream. Each
+holds on the compiled kernels and on the fallback alike. The blocks
 are drawn from small grids of integers, scaled: ties, clones, signed
 zeros and constant columns are common, and a scale such as 0.1 makes
 the sums round, so a kernel that fuses a multiply and an add, or adds
@@ -22,8 +25,15 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from evodiags import Population, native, selection
+from evodiags.core import UPPER_BOUND
 
-from oracles import oracle_lexicase_by_case
+from oracles import (
+    oracle_fronts_dense,
+    oracle_lexicase_by_case,
+    oracle_niche_counts_cdist,
+    oracle_novelty_scores_cdist,
+    oracle_nsga_shared_cdist,
+)
 
 # On a failure, hypothesis's pytest plugin imports its patch writer, whose
 # libcst import raises a DeprecationWarning from mypy_extensions. With
@@ -91,7 +101,7 @@ def same_bits(got: np.ndarray, expected: np.ndarray) -> bool:
 @given(block=blocks())
 def test_the_pair_block_equals_cdist(path, block):
     with on_path(path):
-        got = selection._pair_block(block, np.asarray)
+        got = native.pair_block(block, np.asarray)
     assert same_bits(got, cdist(block, block))
 
 
@@ -106,6 +116,71 @@ def test_the_cross_block_equals_cdist(path, block, data):
     with on_path(path):
         got = native.cross_distances(a, b)
     assert same_bits(got, cdist(a, b))
+
+
+def distinct_by_unique(block):
+    """The distinct rows and each row's index among them, by numpy alone."""
+    return np.unique(block + 0.0, axis=0, return_inverse=True)
+
+
+@st.composite
+def sharing(draw):
+    """A block and sharing settings whose kernel reaches some pairs: a
+    radius up to 1.5 times the block's spread, read raw or as a fraction
+    of the diameter, and the kernel's exponent."""
+    block = draw(blocks())
+    normalize = draw(st.booleans())
+    spread = np.ptp(block) * np.sqrt(block.shape[1])
+    sigma = draw(st.sampled_from([0.0, 0.1, 0.5, 1.5])) * spread
+    if normalize:
+        sigma /= UPPER_BOUND * np.sqrt(block.shape[1])
+    return block, float(sigma), draw(st.sampled_from([1.0, 2.0])), normalize
+
+
+@pytest.mark.parametrize("path", PATHS)
+@EXACT
+@given(drawn=sharing())
+def test_niche_counts_equal_the_cdist_form(path, drawn):
+    block, sigma, alpha, normalize = drawn
+    with on_path(path):
+        got = selection.niche_counts(block, sigma, alpha, normalize)
+    assert same_bits(got, oracle_niche_counts_cdist(block, sigma, alpha, normalize))
+
+
+@pytest.mark.parametrize("path", PATHS)
+@EXACT
+@given(drawn=sharing())
+def test_nsga_shared_fitness_equals_the_per_front_cdist_form(path, drawn):
+    block, sigma, alpha, normalize = drawn
+    fronts = oracle_fronts_dense(*distinct_by_unique(block))
+    with on_path(path):
+        got = selection.nsga_front_assignment(block, sigma, alpha, normalize)
+    assert same_bits(got, oracle_nsga_shared_cdist(block, fronts, sigma, alpha, normalize))
+
+
+@pytest.mark.parametrize("path", PATHS)
+@EXACT
+@given(block=blocks(), data=st.data())
+def test_novelty_scores_equal_the_cdist_form(path, block, data):
+    # The archive holds copies of the population's rows and rows of the
+    # same values in other places.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    copies = block[rng.integers(0, len(block), size=data.draw(st.integers(0, 20)))]
+    shuffled = rng.choice(block.ravel(), size=(data.draw(st.integers(0, 40)), block.shape[1]))
+    archive = list(rng.permutation(np.vstack([copies, shuffled])))
+    k = data.draw(st.integers(1, 30))
+    with on_path(path):
+        got = selection.novelty_scores(block, archive, k)
+    assert same_bits(got, oracle_novelty_scores_cdist(block, archive, k))
+
+
+# nsga's fronts call no native code, so they have one path.
+@EXACT
+@given(block=blocks())
+def test_the_fronts_equal_the_dense_peel(block):
+    distinct, inverse = distinct_by_unique(block)
+    got = selection._fronts(distinct, inverse)
+    assert [f.tolist() for f in got] == [f.tolist() for f in oracle_fronts_dense(distinct, inverse)]
 
 
 # The oracle keeps every pick open to the last case, over every member.

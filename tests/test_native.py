@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist, pdist
+import scipy.spatial.distance
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from evodiags import native
 from evodiags.cli import ExperimentConfig, main, run_experiment
@@ -42,7 +43,7 @@ def falls_back_quietly() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert native.kernels() is None
-        assert np.array_equal(native.pair_distances(ROWS), pdist(ROWS))
+        assert np.array_equal(native.pair_block(ROWS, np.asarray), squareform(pdist(ROWS)))
         assert np.array_equal(native.cross_distances(ROWS[:4], ROWS), cdist(ROWS[:4], ROWS))
 
 
@@ -152,10 +153,11 @@ def test_a_failed_self_check_falls_back(cache, monkeypatch):
     def cases_reversed(library, rows, orders):
         return lexicase(library, rows, np.ascontiguousarray(orders[:, ::-1]))
 
-    for name, wrong in (("pdist", off_by_one_ulp), ("_native_lexicase", cases_reversed)):
+    for module, name, wrong in ((scipy.spatial.distance, "pdist", off_by_one_ulp),
+                                (native, "_native_lexicase", cases_reversed)):
         native.kernels.cache_clear()
         with monkeypatch.context() as patch, warnings.catch_warnings():
-            patch.setattr(native, name, wrong)
+            patch.setattr(module, name, wrong)
             warnings.simplefilter("error")
             assert native.kernels() is None
     assert len(list(cache.iterdir())) == 1  # built, then refused

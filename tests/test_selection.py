@@ -846,7 +846,7 @@ def test_novelty_scores_equal_the_cdist_form_bit_for_bit(name, archive_rows, for
 def test_novelty_blocks_cover_only_the_distinct_rows(monkeypatch):
     # The population block and the archive block alike.
     block_rows = []
-    pair_block, archive_block = selection._pair_block, selection.cross_distances
+    pair_block, archive_block = selection.pair_block, selection.cross_distances
 
     def spy_pairs(rows, *args):
         block_rows.append(rows.shape[0])
@@ -856,7 +856,7 @@ def test_novelty_blocks_cover_only_the_distinct_rows(monkeypatch):
         block_rows.append(rows.shape[0])
         return archive_block(rows, archive)
 
-    monkeypatch.setattr(selection, "_pair_block", spy_pairs)
+    monkeypatch.setattr(selection, "pair_block", spy_pairs)
     monkeypatch.setattr(selection, "cross_distances", spy_archive)
     for name in ["half-distinct", "half-plus-one-distinct", "signed-zeros"]:
         pheno = EXACT_BLOCKS[name]
