@@ -1,22 +1,21 @@
-/* Exact kernels: Euclidean distances, bit for bit those of scipy's pdist
- * and cdist, and lexicase's filter over distinct phenotype rows.
+/* Exact kernels: the sums of squares under scipy's pdist and cdist, and
+ * lexicase's filter over distinct phenotype rows.
  *
- * Each pair adds its squared differences in dimension order, starting
- * from 0, then takes the square root: the order in which scipy sums them.
- * Vectors run across pairs, never across dimensions, so every pair keeps
- * that order. Built with -ffp-contract=off, no multiply and add are fused;
- * with -fno-math-errno, sqrt is the correctly rounded instruction. The
- * filter only compares values, so no flag changes its result. Each
- * function is cloned for AVX-512F, AVX2 and the baseline, and the loader
- * picks one for the machine it runs on.
+ * The distance kernels only add squares: each pair adds its squared
+ * differences in dimension order, starting from 0, the order in which
+ * scipy sums them. The caller hands them zeros and takes the square
+ * roots. Vectors run across pairs, never across dimensions, so every pair
+ * keeps that order, and -ffp-contract=off, which fuses no multiply and
+ * add, is the one flag that decides their bits. The filter only compares
+ * values, so no flag changes its result. Each function is cloned for
+ * AVX-512F, AVX2 and the baseline, and the loader picks one for the
+ * machine it runs on.
  *
  * Blocks come transposed, one contiguous row per dimension (per case, for
  * the filter), so the values every pass reads lie side by side.
  */
 
-#include <math.h>
 #include <stdint.h>
-#include <string.h>
 
 #define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
 
@@ -24,92 +23,74 @@
  * rows' sums. */
 #define ROWS 4
 
-/* out[j] += (x - row[j])^2 for j < len, for ROWS values of x at once. */
-static inline void add_squares(const double *x, const double *restrict row, double **out,
-                               intptr_t len)
+/* out[r][j] += (x[r] - row[j])^2 for r < rows and j < len; rows is 1 to
+ * ROWS. Fewer than ROWS rows go one at a time. */
+static inline void add_squares(const double *x, intptr_t rows, const double *restrict row,
+                               double **out, intptr_t len)
 {
-    double *restrict o0 = out[0], *restrict o1 = out[1];
-    double *restrict o2 = out[2], *restrict o3 = out[3];
-    for (intptr_t j = 0; j < len; ++j) {
-        double v = row[j];
-        double d0 = x[0] - v, d1 = x[1] - v, d2 = x[2] - v, d3 = x[3] - v;
-        o0[j] += d0 * d0;
-        o1[j] += d1 * d1;
-        o2[j] += d2 * d2;
-        o3[j] += d3 * d3;
+    if (rows == ROWS) {
+        double *restrict o0 = out[0], *restrict o1 = out[1];
+        double *restrict o2 = out[2], *restrict o3 = out[3];
+        for (intptr_t j = 0; j < len; ++j) {
+            double v = row[j];
+            double d0 = x[0] - v, d1 = x[1] - v, d2 = x[2] - v, d3 = x[3] - v;
+            o0[j] += d0 * d0;
+            o1[j] += d1 * d1;
+            o2[j] += d2 * d2;
+            o3[j] += d3 * d3;
+        }
+        return;
     }
-}
-
-static inline void take_roots(double *out, intptr_t len)
-{
-    for (intptr_t j = 0; j < len; ++j)
-        out[j] = sqrt(out[j]);
-}
-
-/* pdist's condensed block of the n rows whose transpose is t (d x n):
- * out[k] for pair (i, j), i < j, at k = i*n - i*(i+1)/2 + j - i - 1. */
-CLONES void pair_distances(const double *t, intptr_t n, intptr_t d, double *out)
-{
-    intptr_t total = n * (n - 1) / 2;
-    memset(out, 0, (size_t)total * sizeof(double));
-    for (intptr_t i = 0; i < n; i += ROWS) {
-        /* Rows i..i+3 each start at their own pair (i+r, i+4); the pairs
-         * among the four themselves are added one row at a time. */
-        intptr_t rows = n - i < ROWS ? n - i : ROWS;
-        double *start[ROWS];
-        for (intptr_t r = 0; r < rows; ++r)
-            start[r] = out + (i + r) * n - (i + r) * (i + r + 1) / 2;
-        for (intptr_t k = 0; k < d; ++k) {
-            const double *row = t + k * n;
-            for (intptr_t r = 0; r < rows; ++r) {
-                double x = row[i + r];
-                double *o = start[r];
-                for (intptr_t j = i + r + 1; j < i + rows; ++j) {
-                    double diff = x - row[j];
-                    o[j - i - r - 1] += diff * diff;
-                }
-            }
-            if (rows == ROWS) {
-                double *tail[ROWS];
-                for (intptr_t r = 0; r < ROWS; ++r)
-                    tail[r] = start[r] + (ROWS - r - 1);
-                add_squares(row + i, row + i + ROWS, tail, n - i - ROWS);
-            }
+    for (intptr_t r = 0; r < rows; ++r) {
+        double *restrict o = out[r]; /* out[r][j] would keep the loop scalar */
+        for (intptr_t j = 0; j < len; ++j) {
+            double diff = x[r] - row[j];
+            o[j] += diff * diff;
         }
     }
-    take_roots(out, total);
 }
 
-/* cdist(a, b): out[i*nb + j] is the distance from row i of a (na x d,
- * row-major) to row j of b, whose transpose is bt (d x nb). */
+/* The squared sums under pdist's condensed block of the n rows whose
+ * transpose is t (d x n): out[k] for pair (i, j), i < j, at
+ * k = i*n - i*(i+1)/2 + j - i - 1. */
+CLONES void pair_distances(const double *t, intptr_t n, intptr_t d, double *out)
+{
+    for (intptr_t i = 0; i < n; i += ROWS) {
+        /* Row i+r's pairs start at (i+r, i+r+1): first those within the
+         * block, one row at a time, then the block's rows at once with
+         * every row after it. */
+        intptr_t rows = n - i < ROWS ? n - i : ROWS;
+        double *start[ROWS], *tail[ROWS];
+        for (intptr_t r = 0; r < rows; ++r) {
+            start[r] = out + (i + r) * n - (i + r) * (i + r + 1) / 2;
+            tail[r] = start[r] + (rows - r - 1);
+        }
+        for (intptr_t k = 0; k < d; ++k) {
+            const double *row = t + k * n;
+            for (intptr_t r = 0; r < rows; ++r)
+                add_squares(row + i + r, 1, row + i + r + 1, start + r, rows - r - 1);
+            add_squares(row + i, rows, row + i + rows, tail, n - i - rows);
+        }
+    }
+}
+
+/* The squared sums under cdist(a, b): out[i*nb + j] for row i of a
+ * (na x d, row-major) and row j of b, whose transpose is bt (d x nb). */
 CLONES void cross_distances(const double *a, const double *bt, intptr_t na, intptr_t nb,
                             intptr_t d, double *out)
 {
-    memset(out, 0, (size_t)(na * nb) * sizeof(double));
-    intptr_t i = 0;
-    for (; i + ROWS <= na; i += ROWS) {
-        double *rows[ROWS];
-        for (intptr_t r = 0; r < ROWS; ++r)
-            rows[r] = out + (i + r) * nb;
+    for (intptr_t i = 0; i < na; i += ROWS) {
+        intptr_t rows = na - i < ROWS ? na - i : ROWS;
+        double *block[ROWS];
+        for (intptr_t r = 0; r < rows; ++r)
+            block[r] = out + (i + r) * nb;
         for (intptr_t k = 0; k < d; ++k) {
             double x[ROWS];
-            for (intptr_t r = 0; r < ROWS; ++r)
+            for (intptr_t r = 0; r < rows; ++r)
                 x[r] = a[(i + r) * d + k];
-            add_squares(x, bt + k * nb, rows, nb);
+            add_squares(x, rows, bt + k * nb, block, nb);
         }
     }
-    for (; i < na; ++i) {
-        double *o = out + i * nb;
-        for (intptr_t k = 0; k < d; ++k) {
-            double x = a[i * d + k];
-            const double *row = bt + k * nb;
-            for (intptr_t j = 0; j < nb; ++j) {
-                double diff = x - row[j];
-                o[j] += diff * diff;
-            }
-        }
-    }
-    take_roots(out, na * nb);
 }
 
 /* Keeps, in place and in order, the k rows of left[] whose value in col

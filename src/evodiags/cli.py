@@ -242,7 +242,9 @@ def run_experiment(config: ExperimentConfig) -> int:
     native.kernels()  # built and loaded here, so a forked worker inherits them
     try:
         if workers > 1:
-            with multiprocessing.Pool(workers) as pool:
+            # Fork where the platform offers it, whatever its default start method.
+            fork = "fork" in multiprocessing.get_all_start_methods()
+            with multiprocessing.get_context("fork" if fork else None).Pool(workers) as pool:
                 # One replicate per dispatch: replicate costs differ by
                 # orders of magnitude across schemes, and batches of them
                 # leave workers idle at the end of a grid.

@@ -3,11 +3,14 @@
 glibc's malloc setting (:func:`keep_freed_memory`) and the compiled
 kernels of ``_kernels.c``: the exact distances (:func:`pair_block`,
 :func:`cross_distances`) and lexicase's filter (:func:`lexicase_rows`).
-One rule holds for all of them: native code that is missing or fails
-raises nothing. The malloc setting then does nothing, the distances come
-from scipy's ``pdist`` and ``cdist``, which give the same bits, and the
-filter from a numpy loop over the case positions, which gives the same
-rows. Only this module knows the condensed order of the pairs.
+The distance kernels only add each pair's squared differences, in
+scipy's order, into zeros that numpy allocates; numpy then takes the
+correctly rounded square roots. One rule holds for all of them: native
+code that is missing or fails raises nothing. The malloc setting then
+does nothing, the distances come from scipy's ``pdist`` and ``cdist``,
+which give the same bits, and the filter from a numpy loop over the
+case positions, which gives the same rows. Only this module knows the
+condensed order of the pairs.
 
 The kernels are built by the C compiler ``cc`` on first use, into a
 per-user cache directory outside the checkout, and loaded from there by
@@ -59,11 +62,12 @@ def keep_freed_memory() -> None:
         pass
 
 
-# The kernels' build. The flags keep every pair's sum in scipy's order:
-# no fused multiply-add, no reassociation. A change to the source or the
-# flags gives the library a new name.
+# The kernels' build. -ffp-contract=off is the one flag that decides the
+# distances' bits: it fuses no multiply and add, and -O3 reassociates no
+# sum, so every pair's sum keeps scipy's order. A change to the source or
+# the flags gives the library a new name.
 _COMPILER = "cc"
-_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _BUILD_SECONDS = 120
 
 _BLOCK = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
@@ -172,19 +176,19 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 def _native_pairs(library: ctypes.CDLL, rows: np.ndarray) -> np.ndarray:
     n, d = rows.shape
-    out = np.empty(n * (n - 1) // 2)
+    out = np.zeros(n * (n - 1) // 2)
     library.pair_distances(np.ascontiguousarray(rows.T, dtype=np.float64), n, d, out)
-    return out
+    return np.sqrt(out, out=out)
 
 
 def _native_cross(library: ctypes.CDLL, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[1]:  # the kernel reads d columns of both
         raise ValueError(f"rows of {a.shape[1]} and {b.shape[1]} dimensions")
-    out = np.empty((a.shape[0], b.shape[0]))
+    out = np.zeros((a.shape[0], b.shape[0]))
     library.cross_distances(np.ascontiguousarray(a, dtype=np.float64),
                             np.ascontiguousarray(b.T, dtype=np.float64),
                             a.shape[0], b.shape[0], a.shape[1], out)
-    return out
+    return np.sqrt(out, out=out)
 
 
 def _native_lexicase(library: ctypes.CDLL, rows: np.ndarray, orders: np.ndarray) -> np.ndarray:

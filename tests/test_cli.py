@@ -2,6 +2,7 @@ import argparse
 import builtins
 import errno
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -252,6 +253,24 @@ def test_parallel_workers_match_sequential_output(tmp_path):
     for path_a in sorted(Path(seq.output_dir).glob("*.csv")):
         path_b = Path(par.output_dir) / path_a.name
         assert path_a.read_bytes() == path_b.read_bytes()
+
+
+@pytest.mark.parametrize("methods, asked", [(["fork", "spawn", "forkserver"], ["fork"]),
+                                            (["spawn", "forkserver"], [None])])
+def test_a_pool_forks_where_the_platform_offers_it(tmp_path, monkeypatch, methods, asked):
+    # The kernels are loaded before the pool so that forked workers inherit
+    # them; from Python 3.14 Linux's default start method is forkserver.
+    seen, get_context = [], multiprocessing.get_context
+
+    def spy(method=None):
+        seen.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    assert run_experiment(small_grid_config(tmp_path, workers=2)) == 0
+    assert seen == asked
+    assert len(list((tmp_path / "out").glob("*.csv"))) == 12
 
 
 def write_synthetic_results(out: Path, per_scheme: dict, diagnostic="exploitation-rate"):

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from evodiags import Population, native, selection
 from evodiags.core import UPPER_BOUND
@@ -118,9 +118,57 @@ def test_the_cross_block_equals_cdist(path, block, data):
     assert same_bits(got, cdist(a, b))
 
 
+# The kernels take rows four at a time, the last block's rows and the
+# pairs within each block one at a time: 1-9 rows meet every remainder,
+# on both sides of a cross block. Values scaled by 0.1 round; the
+# squares of those scaled by 1e-160 underflow.
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("rows", range(1, 10))
+def test_every_row_block_remainder_equals_pdist_and_cdist(path, rows):
+    rng = np.random.default_rng(rows)
+    for scale in (0.1, 1e-160):
+        block = rng.integers(-40, 41, size=(rows, 6)) * scale
+        other = rng.integers(-40, 41, size=(9, 6)) * scale
+        with on_path(path):
+            assert same_bits(native.pair_block(block, np.asarray), squareform(pdist(block)))
+            for columns in range(1, 10):
+                got = native.cross_distances(block, other[:columns])
+                assert same_bits(got, cdist(block, other[:columns]))
+
+
 def distinct_by_unique(block):
     """The distinct rows and each row's index among them, by numpy alone."""
     return np.unique(block + 0.0, axis=0, return_inverse=True)
+
+
+def same_groups(labels, expected):
+    """Whether two labelings of the members put the same members together."""
+    pairs = np.unique(np.column_stack([labels, expected]), axis=0)
+    return len(pairs) == len(np.unique(labels)) == len(np.unique(expected))
+
+
+@pytest.mark.parametrize("hashes", ["hashed", "colliding"])
+@EXACT
+@given(block=blocks())
+def test_distinct_rows_group_as_unique_does(hashes, block):
+    # With every multiplier zero, all rows hash alike, so the byte check
+    # fails wherever two rows differ, and the sort serves.
+    colliding = mock.patch.object(selection, "_hash_multipliers",
+                                  lambda dim: np.zeros(dim, dtype=np.uint64))
+    with colliding if hashes == "colliding" else contextlib.nullcontext():
+        distinct, inverse = selection._distinct_rows(block)
+    expected, expected_inverse = distinct_by_unique(block)
+    assert distinct.shape == expected.shape
+    assert same_groups(inverse, expected_inverse)
+    assert same_bits(distinct[inverse], block + 0.0)
+
+
+@EXACT
+@given(block=blocks())
+def test_trait_ranks_are_each_columns_unique_inverse(block):
+    ranks = selection._trait_ranks(block)
+    assert ranks.dtype == np.min_scalar_type(len(block))
+    assert np.array_equal(ranks, [np.unique(column, return_inverse=True)[1] for column in block.T])
 
 
 @st.composite

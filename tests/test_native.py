@@ -7,7 +7,7 @@ A fallback must be silent: warnings are errors in this suite.
 """
 
 import json
-import multiprocessing
+import multiprocessing.context
 import os
 import stat
 import subprocess
@@ -97,19 +97,20 @@ def log_event(log: Path, event: str) -> None:
 
 def test_a_pool_grid_builds_once_before_the_pool(cache, tmp_path, monkeypatch):
     # Forked workers inherit both spies, and the log is a file they share.
+    # Every start method's Pool is the base context's method.
     log = tmp_path / "events"
-    run, pool = subprocess.run, multiprocessing.Pool
+    run, pool = subprocess.run, multiprocessing.context.BaseContext.Pool
 
     def logged_build(*args, **kwargs):
         log_event(log, "build")
         return run(*args, **kwargs)
 
-    def logged_pool(*args, **kwargs):
+    def logged_pool(context, *args, **kwargs):
         log_event(log, "pool")
-        return pool(*args, **kwargs)
+        return pool(context, *args, **kwargs)
 
     monkeypatch.setattr(native.subprocess, "run", logged_build)
-    monkeypatch.setattr(multiprocessing, "Pool", logged_pool)
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", logged_pool)
     config = ExperimentConfig(
         diagnostics=["valley-crossing"], schemes=["sharing-genotypic", "novelty"],
         replicates=2, base_seed=3, output_dir=str(tmp_path / "out"),
