@@ -27,6 +27,7 @@ sets ``base_seed``, and ``--diagnostic``/``--scheme`` append to their lists.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import multiprocessing
 import os
@@ -375,9 +376,7 @@ def analyze(
     destination = Path(out_path) if out_path else directory / "comparisons.csv"
     try:
         with written_whole(destination, newline="", encoding="utf-8") as handle:
-            handle.write(",".join(COMPARISONS_HEADER) + "\n")
-            for row in rows:
-                handle.write(",".join(row) + "\n")
+            csv.writer(handle, lineterminator="\n").writerows([COMPARISONS_HEADER, *rows])
     except OSError as exc:
         print(f"error: cannot write {destination}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR

@@ -1,4 +1,5 @@
-"""Per-generation data tracking and the CSV row format.
+"""Per-generation data tracking and the CSV row format: a
+``GenerationRecord`` is a named tuple of its row's columns, in order.
 
 Tracked quantities:
 
@@ -24,9 +25,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
-from typing import Callable, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -47,31 +46,31 @@ def _int_or_none(text: str) -> Optional[int]:
     return None if text == "" else int(text)
 
 
-def _column(write: Callable[[object], str], read: Callable[[str], object], **kwargs):
-    """A record field that is one CSV column, with its formatter and parser."""
-    return field(metadata={"csv": (write, read)}, **kwargs)
+def _valley_cell(value: Optional[int]) -> str:
+    return "none" if value == NO_VALLEY else _int_cell(value)
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
-    """One CSV row, one column per field in order. None marks a field the
-    diagnostic does not define and is written as an empty cell; the valley
-    column writes ``NO_VALLEY`` as "none"."""
-
-    generation: int = _column(str, int)
-    best_performance: float = _column(repr, float)
-    best_total_fitness: float = _column(repr, float)
-    satisfactory_trait_coverage: Optional[int] = _column(_int_cell, _int_or_none, default=None)
-    activation_gene_coverage: Optional[int] = _column(_int_cell, _int_or_none, default=None)
-    largest_valley_reached: Optional[int] = _column(
-        lambda value: "none" if value == NO_VALLEY else _int_cell(value),
-        lambda text: NO_VALLEY if text == "none" else _int_or_none(text), default=None)
-    archive_size: Optional[int] = _column(_int_cell, _int_or_none, default=None)
+def _valley_or_none(text: str) -> Optional[int]:
+    return NO_VALLEY if text == "none" else _int_or_none(text)
 
 
-CSV_HEADER = [f.name for f in fields(GenerationRecord)]
-_record_values = attrgetter(*CSV_HEADER)
-_FORMATTERS, _PARSERS = zip(*(f.metadata["csv"] for f in fields(GenerationRecord)))
+class GenerationRecord(NamedTuple):
+    """One CSV row: the fields are its columns, in order. None marks a
+    field the diagnostic does not define and is written as an empty cell;
+    the valley column writes ``NO_VALLEY`` as "none"."""
+
+    generation: int
+    best_performance: float
+    best_total_fitness: float
+    satisfactory_trait_coverage: Optional[int] = None
+    activation_gene_coverage: Optional[int] = None
+    largest_valley_reached: Optional[int] = None
+    archive_size: Optional[int] = None
+
+
+CSV_HEADER = list(GenerationRecord._fields)
+_FORMATTERS = (str, repr, repr, _int_cell, _int_cell, _valley_cell, _int_cell)
+_PARSERS = (int, float, float, _int_or_none, _int_or_none, _valley_or_none, _int_or_none)
 
 
 def has_satisfactory_solution(pop: Population) -> bool:
@@ -177,8 +176,7 @@ def write_records_csv(path, records: Sequence[GenerationRecord]) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for rec in records:
-            writer.writerow([write(value)
-                             for write, value in zip(_FORMATTERS, _record_values(rec))])
+            writer.writerow([write(value) for write, value in zip(_FORMATTERS, rec)])
 
 
 def read_records_csv(path) -> list[GenerationRecord]:

@@ -396,6 +396,19 @@ def test_analyze_rejects_unknown_metric(tmp_path):
     assert analyze(str(tmp_path / "res"), metric="nope") == 1
 
 
+def test_analyze_writes_the_comparisons_bytes(tmp_path):
+    # Unquoted cells and "\n" endings: the header and one significant row.
+    out = tmp_path / "res"
+    write_synthetic_results(out, {
+        "truncation": [101.0 + i for i in range(10)],
+        "random": [1.0 + i for i in range(10)]})
+    assert analyze(str(out), metric="best_total_fitness") == 0
+    assert (out / "comparisons.csv").read_bytes() == (
+        b"group_a,group_b,metric,statistic,p_raw,p_adjusted,significant\n"
+        b"exploitation-rate__random,exploitation-rate__truncation,best_total_fitness,"
+        b"0.0,0.00018267179110955002,0.00018267179110955002,true\n")
+
+
 def test_analyze_round_trips_every_row_it_wrote(tmp_path):
     out = tmp_path / "res"
     rng = np.random.default_rng(0)

@@ -14,7 +14,7 @@ from evodiags import (
     snapshot,
     write_records_csv,
 )
-from evodiags.metrics import NO_VALLEY, best_index
+from evodiags.metrics import CSV_HEADER, NO_VALLEY, best_index
 
 from oracles import SAWTOOTH_PEAKS
 
@@ -211,6 +211,13 @@ def test_records_csv_round_trip():
         with open(path) as fh:
             body = fh.read()
         assert "none" in body  # below-first-peak marker
+
+
+def test_a_record_is_its_column_values_in_order():
+    # write_records_csv zips the column formatters with the record itself.
+    record = GenerationRecord(10, 43.29, 432.9, 3, 5, NO_VALLEY, 12)
+    assert tuple(record) == tuple(getattr(record, name) for name in CSV_HEADER)
+    assert tuple(GenerationRecord(0, 1.5, 15.0)) == (0, 1.5, 15.0, None, None, None, None)
 
 
 def test_records_csv_cut_short_leaves_no_file(tmp_path):
