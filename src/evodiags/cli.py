@@ -42,7 +42,7 @@ from .core import MASK64, ConfigurationError, MutationParams, splitmix64
 from .diagnostics import DIAGNOSTICS, DiagnosticKind, all_diagnostic_names
 from .evolve import ReplicateConfig, run_replicate
 from .metrics import CSV_HEADER, read_records_csv, write_records_csv, written_whole
-from .selection import SCHEMES, SchemeKind, SchemeParams, all_scheme_names
+from .selection import NATIVE_SCHEMES, SCHEMES, SchemeKind, SchemeParams, all_scheme_names
 from .stats import SIGNIFICANCE_LEVEL, bonferroni, kruskal_wallis, wilcoxon_rank_sum
 
 EXIT_OK = 0
@@ -240,7 +240,7 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     workers = config.workers or os.cpu_count() or 1
     workers = min(workers, len(tasks))
-    native.kernels()  # built and loaded here, so a forked worker inherits them
+    _native_kernels(config)  # built and loaded here, so a forked worker inherits them
     try:
         if workers > 1:
             # Fork where the platform offers it, whatever its default start method.
@@ -262,6 +262,14 @@ def run_experiment(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _native_kernels(config: ExperimentConfig) -> Optional[bool]:
+    """Whether the grid's schemes run on the compiled kernels, loading them
+    if need be; None for a grid whose schemes call none."""
+    if not any(SchemeKind(scheme) in NATIVE_SCHEMES for scheme in config.schemes):
+        return None
+    return native.kernels() is not None
+
+
 def _write_manifest(out_dir: Path, config: ExperimentConfig,
                     entries: list[dict], note: Optional[str] = None) -> None:
     manifest = {
@@ -271,7 +279,7 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig,
                       "h = splitmix64(h ^ byte)"),
         "replicates": entries,
         # The fallback writes the same bytes, but runs lexicase several times slower.
-        "native_kernels": native.kernels() is not None,
+        "native_kernels": _native_kernels(config),
     }
     if note:
         manifest["note"] = note

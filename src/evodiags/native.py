@@ -5,10 +5,15 @@ kernels of ``_kernels.c``: the exact distances (:func:`pair_block`,
 :func:`cross_distances`) and lexicase's filter (:func:`lexicase_rows`).
 The distance kernels only add each pair's squared differences, in
 scipy's order, into zeros that numpy allocates; numpy then takes the
-correctly rounded square roots. One rule holds for all of them: native
-code that is missing or fails raises nothing. The malloc setting then
-does nothing, the distances come from scipy's ``pdist`` and ``cdist``,
-which give the same bits, and the filter from a numpy loop over the
+correctly rounded square roots. They keep 4 x 8 tiles of pair sums in
+registers, fed from packed panels: numpy's copy of the rows 8 at a time,
+the 8 values of each dimension side by side. :func:`pair_block` then
+gathers the condensed values straight into the rows its callers sum, so
+numpy does every sum and the square block is never built. One rule holds
+for all of them: native code that is missing or fails raises nothing.
+The malloc setting then does nothing, the distances come from scipy's
+``pdist`` and ``cdist``, which give the same bits, the gather from
+``squareform`` and ``take``, and the filter from a numpy loop over the
 case positions, which gives the same rows. Only this module knows the
 condensed order of the pairs.
 
@@ -62,6 +67,11 @@ def keep_freed_memory() -> None:
         pass
 
 
+# Rows per packed panel, the lanes of a register tile (COLS in _kernels.c),
+# and rows of the square per pass of the gather (GATHER there).
+_COLS = 8
+_GATHER = 8
+
 # The kernels' build. -ffp-contract=off is the one flag that decides the
 # distances' bits: it fuses no multiply and add, and -O3 reassociates no
 # sum, so every pair's sum keeps scipy's order. A change to the source or
@@ -70,9 +80,12 @@ _COMPILER = "cc"
 _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _BUILD_SECONDS = 120
 
-_BLOCK = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
-_OUT = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-_INDICES = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+# Arrays go to the kernels as the addresses of C-ordered float64 or int64
+# blocks that the callers below allocate or convert with those types, and
+# keep referenced in a local name until the kernel returns. An ndpointer
+# type would check that again, at about 3 us more per array on a 2-core
+# x86-64 machine: a third of a gather's call at 128 x 20.
+_ADDRESS = ctypes.c_void_p
 _SIZE = ctypes.c_ssize_t
 
 
@@ -131,12 +144,14 @@ def kernels() -> Optional[ctypes.CDLL]:
     with scipy or the numpy filter on :func:`_check_block`."""
     try:
         library = ctypes.CDLL(str(_built_library()))
-        library.pair_distances.argtypes = [_BLOCK, _SIZE, _SIZE, _OUT]
-        library.cross_distances.argtypes = [_BLOCK, _BLOCK, _SIZE, _SIZE, _SIZE, _OUT]
-        library.lexicase_filter.argtypes = [_BLOCK, _SIZE, _SIZE, _INDICES, _SIZE,
-                                            _INDICES, _INDICES]
+        library.pair_distances.argtypes = [_ADDRESS, _SIZE, _SIZE, _ADDRESS]
+        library.cross_distances.argtypes = [_ADDRESS, _ADDRESS, _SIZE, _SIZE, _SIZE, _ADDRESS]
+        library.gather_pairs.argtypes = [_ADDRESS, ctypes.c_double, _SIZE, _ADDRESS, _SIZE,
+                                         _ADDRESS, _ADDRESS]
+        library.lexicase_filter.argtypes = [_ADDRESS, _SIZE, _SIZE, _ADDRESS, _SIZE,
+                                            _ADDRESS, _ADDRESS]
         library.pair_distances.restype = library.cross_distances.restype = None
-        library.lexicase_filter.restype = None
+        library.gather_pairs.restype = library.lexicase_filter.restype = None
     # No compiler, a failed or timed-out build, an unwritable cache, a
     # library that does not load or lacks a kernel.
     except (OSError, subprocess.SubprocessError, AttributeError):
@@ -150,8 +165,15 @@ def kernels() -> Optional[ctypes.CDLL]:
     rows[:, 3] = 1.0
     rows[:, 8] *= 0.0
     orders = np.random.default_rng(0).permuted(np.tile(np.arange(13), (64, 1)), axis=1)
+    # Every condensed position holds its own value, and the diagonal
+    # another: a gather that reads any other position shows.
+    m = len(block)
+    values = np.arange(m * (m - 1) // 2, dtype=np.float64)
+    members = np.random.default_rng(0).integers(0, m, size=150)
     agrees = (_same_bits(_native_pairs(library, block), pdist(block))
               and _same_bits(_native_cross(library, a, b), cdist(a, b))
+              and _same_bits(_native_gather(library, values, -1.0, m, members),
+                             _square_gather(values, -1.0, members))
               and np.array_equal(_native_lexicase(library, rows, orders),
                                  _filter_by_case(rows, orders)))
     return library if agrees else None
@@ -160,7 +182,9 @@ def kernels() -> Optional[ctypes.CDLL]:
 def _check_block() -> np.ndarray:
     """41 rows of 13 dimensions: varied values whose sums a changed
     order or a fused multiply-add would round otherwise, a clone, rows of
-    0.0 and -0.0, and values whose squares underflow."""
+    0.0 and -0.0, and values whose squares underflow. Its pairs meet the
+    tiles, and columns before and after the whole panels; its cross block
+    (23 rows against 23) meets a short row block too."""
     varied = np.random.default_rng(0).uniform(0.0, 100.0, size=(32, 13))
     signed = np.zeros((3, 13))
     signed[1] = -0.0
@@ -174,28 +198,65 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def _panels(rows: np.ndarray) -> np.ndarray:
+    """The rows packed _COLS at a time, the last panel padded with zeros:
+    ``panels[p, k, lane]`` is ``rows[p * _COLS + lane, k]``."""
+    n, d = rows.shape
+    full = n - n % _COLS
+    panels = np.zeros((-(-n // _COLS), d, _COLS))
+    lanes = panels.transpose(0, 2, 1)  # lanes[p, lane] is row p * _COLS + lane
+    lanes[:full // _COLS] = rows[:full].reshape(-1, _COLS, d)
+    lanes[full // _COLS:, :n - full] = rows[full:]
+    return panels
+
+
 def _native_pairs(library: ctypes.CDLL, rows: np.ndarray) -> np.ndarray:
     n, d = rows.shape
-    out = np.zeros(n * (n - 1) // 2)
-    library.pair_distances(np.ascontiguousarray(rows.T, dtype=np.float64), n, d, out)
+    panels, out = _panels(rows), np.zeros(n * (n - 1) // 2)
+    library.pair_distances(panels.ctypes.data, n, d, out.ctypes.data)
     return np.sqrt(out, out=out)
 
 
 def _native_cross(library: ctypes.CDLL, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[1]:  # the kernel reads d columns of both
         raise ValueError(f"rows of {a.shape[1]} and {b.shape[1]} dimensions")
+    a, panels = np.ascontiguousarray(a, dtype=np.float64), _panels(b)
     out = np.zeros((a.shape[0], b.shape[0]))
-    library.cross_distances(np.ascontiguousarray(a, dtype=np.float64),
-                            np.ascontiguousarray(b.T, dtype=np.float64),
-                            a.shape[0], b.shape[0], a.shape[1], out)
+    library.cross_distances(a.ctypes.data, panels.ctypes.data, a.shape[0], b.shape[0],
+                            a.shape[1], out.ctypes.data)
     return np.sqrt(out, out=out)
+
+
+def _native_gather(library: ctypes.CDLL, values: np.ndarray, diagonal: float, m: int,
+                   members: np.ndarray) -> np.ndarray:
+    """The gather of the condensed ``values`` of m rows, columns
+    ``members``, each below m."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    members = np.ascontiguousarray(members, dtype=np.int64)
+    if values.shape != (m * (m - 1) // 2,):  # the kernel reads every pair of m rows
+        raise ValueError(f"{values.shape} condensed values for {m} rows")
+    work, out = np.empty((min(m, _GATHER), m)), np.empty((m, len(members)))
+    library.gather_pairs(values.ctypes.data, diagonal, m, members.ctypes.data, len(members),
+                         work.ctypes.data, out.ctypes.data)
+    return out
+
+
+def _square_gather(values: np.ndarray, diagonal: float, members: np.ndarray) -> np.ndarray:
+    """The gather in numpy: the square block of the condensed ``values``
+    with ``diagonal`` on its diagonal, columns ``members``."""
+    from scipy.spatial.distance import squareform
+    square = squareform(values)
+    np.fill_diagonal(square, diagonal)
+    return np.take(square, members, axis=1)
 
 
 def _native_lexicase(library: ctypes.CDLL, rows: np.ndarray, orders: np.ndarray) -> np.ndarray:
     m, d = rows.shape
-    out = np.empty(len(orders), dtype=np.int64)
-    library.lexicase_filter(np.ascontiguousarray(rows.T, dtype=np.float64), m, d,
-                            orders, len(orders), np.empty(m + d, dtype=np.int64), out)
+    cases = np.ascontiguousarray(rows.T, dtype=np.float64)
+    orders = np.ascontiguousarray(orders, dtype=np.int64)
+    work, out = np.empty(m + d, dtype=np.int64), np.empty(len(orders), dtype=np.int64)
+    library.lexicase_filter(cases.ctypes.data, m, d, orders.ctypes.data, len(orders),
+                            work.ctypes.data, out.ctypes.data)
     return out
 
 
@@ -218,20 +279,28 @@ def _filter_by_case(rows: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair_block(rows: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """``f(cdist(rows, rows))`` bit for bit, for an element-wise ``f``.
+def pair_block(rows: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
+               members: np.ndarray) -> np.ndarray:
+    """``f(cdist(rows, rows))[:, members]`` bit for bit, in C order, for
+    an element-wise ``f`` and indices ``members`` of ``rows``.
 
     Each pair's distance is computed once, in ``pdist``'s condensed order
     and by ``cdist``'s rule: its squared differences added in dimension
     order from 0, then the square root. So ``f`` runs on N(N-1)/2 values;
-    the diagonal, where ``cdist`` gives 0, is ``f(0)``.
+    the diagonal, where ``cdist`` gives 0, is ``f(0)``. The kernels gather
+    the block's columns straight from those values; the square block is
+    built only where they are missing.
     """
-    from scipy.spatial.distance import pdist, squareform
+    members = np.ascontiguousarray(members, dtype=np.int64)
+    m = len(rows)
+    if members.ndim != 1 or (members.size and (members.min() < 0 or members.max() >= m)):
+        raise ValueError(f"members of shape {members.shape} outside {m} rows")
+    diagonal = float(f(np.zeros(1))[0])
     library = kernels()
-    pairs = pdist(rows) if library is None else _native_pairs(library, rows)
-    block = squareform(f(pairs))
-    np.fill_diagonal(block, f(np.zeros(1)))
-    return block
+    if library is None:
+        from scipy.spatial.distance import pdist
+        return _square_gather(f(pdist(rows)), diagonal, members)
+    return _native_gather(library, f(_native_pairs(library, rows)), diagonal, m, members)
 
 
 def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

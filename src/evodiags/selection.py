@@ -17,10 +17,11 @@ it, unless a flag asks for raw ones; novelty's are always raw, as its
 threshold ``pmin`` is. Every distance block equals the ``cdist`` form
 bit for bit, but covers only the distinct rows, grouped for every scheme
 by one hashed rule (:func:`_distinct_rows`); :mod:`evodiags.native`
-computes the blocks.
+computes the blocks, each already gathered to one column per member.
 Sharing and nsga take niche counts by :func:`_clone_counts`, novelty
-gathers distances back per member, and nsga's :func:`_fronts` tests its
-later objectives only on the pairs still in the dominance block.
+gathers the block's rows back per member, and nsga's :func:`_fronts`
+tests its later objectives only on the pairs still in the dominance
+block.
 """
 
 from __future__ import annotations
@@ -194,23 +195,26 @@ def sharing_kernel(d: np.ndarray, sigma: float, alpha: float) -> np.ndarray:
 
 
 def _sharing_block(
-    rows: np.ndarray, sigma: float, alpha: float, normalize: bool
+    rows: np.ndarray, sigma: float, alpha: float, normalize: bool, members: np.ndarray
 ) -> np.ndarray:
-    """The sharing kernel of every pair of ``rows``, self pairs included."""
+    """The sharing kernel of every pair of ``rows``, self pairs included,
+    one column per member: ``block[a, c]`` pairs row a with ``members[c]``."""
     scale = UPPER_BOUND * np.sqrt(rows.shape[1]) if normalize else 1.0
-    return pair_block(rows, lambda d: sharing_kernel(d / scale, sigma, alpha))
+    return pair_block(rows, lambda d: sharing_kernel(d / scale, sigma, alpha), members)
 
 
-def _clone_counts(kernel: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Niche counts of the members whose distinct rows of ``kernel`` are
-    ``rows``: each member's kernel sum over all members, floored at 1.
+def _clone_counts(block: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Niche counts of ``members``, whose columns of the gathered kernel
+    ``block`` these are: each member's kernel sum over all of them,
+    floored at 1.
 
-    Row a of the C-ordered gather holds, in member order and in one
+    Row a of the C-ordered block holds, in member order and in one
     contiguous row, the terms of every member whose distinct row is a,
     so each count adds the values the block over all members would, in
     the same order, to the same bits; a column-major gather does not.
+    A column slice of a wider block sums its rows as a copy of it would.
     """
-    return np.maximum(np.take(kernel, rows, axis=1).sum(axis=1), 1.0)[rows]
+    return np.maximum(block.sum(axis=1), 1.0)[members]
 
 
 def niche_counts(
@@ -227,7 +231,7 @@ def niche_counts(
     only, each pair once.
     """
     distinct, inverse = _distinct_rows(points)
-    return _clone_counts(_sharing_block(distinct, sigma, alpha, normalize), inverse)
+    return _clone_counts(_sharing_block(distinct, sigma, alpha, normalize, inverse), inverse)
 
 
 def stochastic_remainder(
@@ -396,18 +400,23 @@ def nsga_front_assignment(
     later front starts at ``_FRONT_DECAY`` times the smallest shared
     fitness of the front before it, preserving strict cross-front
     ordering. Sharing uses phenotypic similarity restricted to same-front
-    members: one kernel block over the distinct rows serves every front,
-    and each front's niche counts are :func:`_clone_counts` of its
-    members, the bits :func:`niche_counts` gives on the front alone.
-    Returns the shared fitness of every row.
+    members: one kernel block over the distinct rows, gathered once with
+    the members front by front, serves every front, and each front's
+    niche counts are :func:`_clone_counts` of its columns, the bits
+    :func:`niche_counts` gives on the front alone. Returns the shared
+    fitness of every row.
     """
     distinct, inverse = _distinct_rows(phenotypes)
-    kernel = _sharing_block(distinct, sigma, alpha, normalize)
+    fronts = _fronts(distinct, inverse)
+    block = _sharing_block(distinct, sigma, alpha, normalize, inverse[np.concatenate(fronts)])
     shared = np.empty(len(inverse), dtype=np.float64)
     dummy = float(len(inverse))
-    for front in _fronts(distinct, inverse):
-        shared[front] = dummy / _clone_counts(kernel, inverse[front])
+    start = 0
+    for front in fronts:
+        end = start + len(front)
+        shared[front] = dummy / _clone_counts(block[:, start:end], inverse[front])
         dummy = _FRONT_DECAY * shared[front].min()
+        start = end
     return shared
 
 
@@ -430,12 +439,11 @@ def novelty_scores(
     """
     distinct, inverse = _distinct_rows(phenotypes)
     n = len(inverse)
-    # The block equals cdist(distinct, vstack([distinct, archive])) bit for bit.
-    dists = pair_block(distinct, np.asarray)
+    # The block equals cdist(phenotypes, vstack([phenotypes, archive])) bit for bit.
+    dists = pair_block(distinct, np.asarray, inverse)
     if len(archive):
         dists = np.hstack([dists, cross_distances(distinct, np.asarray(archive, dtype=np.float64))])
-    columns = np.concatenate([inverse, np.arange(len(distinct), dists.shape[1])])
-    dists = dists.take(columns, axis=1)[inverse]
+    dists = dists[inverse]
     available = dists.shape[1] - 1
     if available < 1:
         return np.zeros(n, dtype=np.float64)
@@ -519,6 +527,12 @@ SCHEMES = {
         lambda pop, state, n, rng: rng.integers(0, len(pop), size=n),
         "uniform random control"),
 }
+
+
+# The schemes that call the compiled kernels of :mod:`evodiags.native`.
+NATIVE_SCHEMES = frozenset({
+    SchemeKind.SHARING_GENOTYPIC, SchemeKind.SHARING_PHENOTYPIC, SchemeKind.LEXICASE,
+    SchemeKind.NSGA, SchemeKind.NOVELTY})
 
 
 def select(

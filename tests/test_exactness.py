@@ -15,7 +15,9 @@ run checks the same blocks.
 """
 
 import contextlib
+import re
 import shutil
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -97,7 +99,7 @@ def same_bits(got: np.ndarray, expected: np.ndarray) -> bool:
 @given(block=blocks())
 def test_the_pair_block_equals_cdist(path, block):
     with on_path(path):
-        got = native.pair_block(block, np.asarray)
+        got = native.pair_block(block, np.asarray, np.arange(len(block)))
     assert same_bits(got, cdist(block, block))
 
 
@@ -126,10 +128,107 @@ def test_every_row_block_remainder_equals_pdist_and_cdist(path, rows):
         block = rng.integers(-40, 41, size=(rows, 6)) * scale
         other = rng.integers(-40, 41, size=(9, 6)) * scale
         with on_path(path):
-            assert same_bits(native.pair_block(block, np.asarray), squareform(pdist(block)))
+            got = native.pair_block(block, np.asarray, np.arange(rows))
+            assert same_bits(got, squareform(pdist(block)))
             for columns in range(1, 10):
                 got = native.cross_distances(block, other[:columns])
                 assert same_bits(got, cdist(block, other[:columns]))
+
+
+# The tiles take 4 rows by 8 columns from packed panels; the pairs within
+# a block of 4 rows, the columns before the first whole panel and those
+# after the last go by rows. Row counts in every residue mod 8 (and so
+# mod 4), 512 and 8k +- 1, on both sides of a cross block, with few
+# dimensions and with many.
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("dim", [1, 2, 3, 100])
+@pytest.mark.parametrize("rows", [*range(1, 18), 23, 511, 512, 513])
+def test_the_tiles_equal_pdist_and_cdist(path, dim, rows):
+    rng = np.random.default_rng(rows * 1000 + dim)
+    for scale in (0.1, 1e-160):
+        block = rng.integers(-40, 41, size=(rows, dim)) * scale
+        other = rng.integers(-40, 41, size=(rows, dim)) * scale
+        with on_path(path):
+            assert same_bits(native.pair_block(block, np.asarray, np.arange(rows)),
+                             squareform(pdist(block)))
+            assert same_bits(native.cross_distances(block, other), cdist(block, other))
+            assert same_bits(native.cross_distances(other[:5], block), cdist(other[:5], block))
+
+
+def paths_of_the_pair_kernel(n, rows_per_block, cols):
+    """Which ways ``pair_distances`` takes the columns after each block of
+    rows, by the rule of ``_kernels.c``: tiles over the whole panels after
+    the block, row by row before the first of them (lead) and, in the last
+    panel, after them (tail)."""
+    full = n - n % cols
+    paths = set()
+    for i in range(0, n, rows_per_block):
+        after = i + min(rows_per_block, n - i)
+        first = -(-after // cols) * cols
+        if first < full:
+            paths.add("tile")
+        if min(first, n) > after:
+            paths.add("lead")
+        if first <= full < n:
+            paths.add("tail")
+    return paths
+
+
+def test_the_load_check_reaches_every_path_of_the_pair_kernel():
+    source = (Path(native.__file__).parent / "_kernels.c").read_text()
+    rows, cols, gather = (int(re.search(rf"#define {name} (\d+)", source)[1])
+                          for name in ("ROWS", "COLS", "GATHER"))
+    assert (rows, cols, gather) == (4, native._COLS, native._GATHER) == (4, 8, 8)
+    n = len(native._check_block())
+    assert paths_of_the_pair_kernel(n, rows, cols) == {"tile", "lead", "tail"}
+    # Its cross block, 23 rows against 23: a short block of rows, and
+    # whole panels with columns after them.
+    assert 23 % rows and 23 % cols and 23 > cols
+
+
+@st.composite
+def members(draw, m):
+    """Up to 300 indices of m rows, with repeats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, m, size=draw(st.integers(0, 300)))
+
+
+@pytest.mark.parametrize("path", PATHS)
+@EXACT
+@given(block=blocks(), data=st.data())
+def test_the_gather_equals_squareform_and_take(path, block, data):
+    chosen = data.draw(members(len(block)))
+    with on_path(path):
+        got = native.pair_block(block, np.negative, chosen)
+    square = squareform(-pdist(block))
+    np.fill_diagonal(square, -0.0)
+    assert same_bits(got, np.take(square, chosen, axis=1))
+
+
+@EXACT
+@given(m=st.integers(1, 70), data=st.data())
+@example(m=41, data=None)
+def test_the_native_gather_reads_each_pair_where_squareform_puts_it(m, data):
+    # Every condensed position holds its own value, so a read of any
+    # other position shows.
+    chosen = data.draw(members(m)) if data else np.arange(200) % m
+    values = np.arange(m * (m - 1) // 2, dtype=np.float64)
+    with on_path("native"):
+        got = native._native_gather(native.kernels(), values, -1.0, m, chosen)
+    assert same_bits(got, native._square_gather(values, -1.0, chosen))
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_the_gather_refuses_members_off_the_rows(path):
+    # Before the kernel reads outside the square.
+    block = np.arange(12.0).reshape(4, 3)
+    with on_path(path):
+        for wrong in ([0, 4], [-1], [[0, 1]]):
+            with pytest.raises(ValueError):
+                native.pair_block(block, np.asarray, np.array(wrong))
+        if path == "native":  # an f that does not keep the pairs' shape
+            with pytest.raises(ValueError):
+                native.pair_block(block, lambda d: np.append(d, 0.0), np.arange(4))
 
 
 def distinct_by_unique(block):

@@ -43,7 +43,8 @@ def falls_back_quietly() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert native.kernels() is None
-        assert np.array_equal(native.pair_block(ROWS, np.asarray), squareform(pdist(ROWS)))
+        assert np.array_equal(native.pair_block(ROWS, np.asarray, np.arange(len(ROWS))),
+                              squareform(pdist(ROWS)))
         assert np.array_equal(native.cross_distances(ROWS[:4], ROWS), cdist(ROWS[:4], ROWS))
 
 
@@ -192,6 +193,20 @@ def test_the_manifest_says_whether_the_kernels_ran(tmp_path, monkeypatch):
     assert recorded(tmp_path / "native") is True
     monkeypatch.setattr(native, "kernels", lambda: None)
     assert recorded(tmp_path / "fallback") is False
+
+
+def test_a_grid_without_native_schemes_loads_no_kernels(tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("the kernels were loaded")
+
+    monkeypatch.setattr(native, "kernels", refuse)
+    out = tmp_path / "out"
+    config = ExperimentConfig(
+        diagnostics=["valley-crossing"], schemes=["truncation", "tournament", "random"],
+        replicates=1, output_dir=str(out), pop_size=16, generations=5, dim=4, workers=1)
+    assert run_experiment(config) == 0
+    assert len(list(out.glob("*.csv"))) == 3
+    assert json.loads((out / "manifest.json").read_text())["native_kernels"] is None
 
 
 @pytest.mark.parametrize("path", ["native", "fallback"])

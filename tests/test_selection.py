@@ -319,13 +319,17 @@ def test_fortran_ordered_gather_changes_the_row_sums():
     # bits; this fixture would catch that gather.
     points = EXACT_BLOCKS["half-distinct"]
     distinct, inverse = selection._distinct_rows(points)
-    kernel = selection._sharing_block(distinct, 0.3, 1.0, True)
+    kernel = selection._sharing_block(distinct, 0.3, 1.0, True, np.arange(len(distinct)))
     c_order = kernel[inverse[:, np.newaxis], inverse]
     f_order = kernel[inverse][:, inverse]
     assert np.array_equal(c_order, f_order)
     expected = oracle_niche_counts_cdist(points, 0.3, 1.0)
     assert np.array_equal(np.maximum(c_order.sum(axis=1), 1.0), expected)
     assert not np.array_equal(np.maximum(f_order.sum(axis=1), 1.0), expected)
+    # The gather that niche_counts sums holds the C-ordered rows.
+    gathered = selection._sharing_block(distinct, 0.3, 1.0, True, inverse)
+    assert gathered.flags.c_contiguous and np.array_equal(gathered[inverse], c_order)
+    assert np.array_equal(selection._clone_counts(gathered, inverse), expected)
 
 
 # ---------------------------------------------------------------------------
